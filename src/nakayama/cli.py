@@ -24,7 +24,8 @@ Usage examples
   nakayama verify --theorems fibonacci,chain --n-max 5
   nakayama convert --relations "1:2;2:3" -n 4 --cyclic
 
-Exit codes: 0 success, 1 usage or input error, 2 theorem violation found.
+Exit codes: 0 success, 1 usage or input error, 2 theorem violation found,
+3 internal error (a bug in this package, not in the input).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .core import (
     validate,
 )
 from .enumeration import census, enumerate_cyclic, enumerate_linear, is_maximal
-from .errors import NakayamaError
+from .errors import InternalError, NakayamaError
 from .filtration import epsilon_tower
 from .homology import INFINITE, homology_report
 from .verify import SUITES, run_suites
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
     except (NakayamaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def console() -> None:

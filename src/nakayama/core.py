@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BadTail,
     EmptyCyclicSystem,
+    InternalError,
     InvalidModule,
     InvalidRelationSystem,
     RedundantRelations,
@@ -171,25 +172,27 @@ def composition_factors(series: KupischSeries, m: UniserialModule) -> tuple[int,
     return tuple(m.top + t for t in range(m.length))
 
 
+def _syzygy_step(c, cyclic, top, length):
+    """(top, length) of the syzygy of the non-projective M(top, length)."""
+    return (top - 1 + length) % len(c) + 1 if cyclic else top + length, c[top - 1] - length
+
+
 def syzygy(series: KupischSeries, m: UniserialModule) -> UniserialModule | None:
     """Kernel of the projective cover, or None when the module is projective.
 
     For M(t, l) over the projective of length c_t the kernel is the radical
     power rad^l, which is uniserial with top t + l and length c_t - l.  The
     step constraint on the series guarantees the result is again a valid
-    module (asserted).
+    module; a result that is not raises InternalError.
     """
     check_module(series, m)
-    ct = series.c[m.top - 1]
-    if m.length == ct:
+    c = series.c
+    if m.length == c[m.top - 1]:
         return None
-    if series.kind == CYCLIC:
-        top = (m.top - 1 + m.length) % series.n + 1
-    else:
-        top = m.top + m.length
-    result = UniserialModule(top, ct - m.length)
-    assert result.length <= series.c[top - 1], (series, m, result)
-    return result
+    top, length = _syzygy_step(c, series.kind == CYCLIC, m.top, m.length)
+    if length > c[top - 1]:
+        raise InternalError(f"syzygy of {m} over {series} is too long: M({top},{length})")
+    return UniserialModule(top, length)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +268,8 @@ def _contains(p, q, n, kind) -> bool:
     (sp, ep), (sq, eq) = p, q
     if kind == LINEAR:
         return sp <= sq and eq <= ep
-    span = (ep - sp) // n + 1
-    for t in range(-span, span + 1):
-        if sp <= sq + t * n and eq + t * n <= ep:
-            return True
-    return False
+    # some shift t has sp <= sq + t*n and eq + t*n <= ep: ceil((sp-sq)/n) <= floor((ep-eq)/n)
+    return -((sp - sq) // -n) <= (ep - eq) // n
 
 
 def kupisch_to_relations(series: KupischSeries) -> RelationSystem:

@@ -26,14 +26,7 @@ from .core import (
     relations_to_kupisch,
 )
 from .errors import CensusMismatch
-from .homology import (
-    INFINITE,
-    HomologyReport,
-    check_inequalities,
-    check_madsen,
-    check_parity_interpolation,
-    homology_report,
-)
+from .homology import HomologyReport, homology_report
 
 
 def fibonacci(k: int) -> int:
@@ -87,14 +80,11 @@ def enumerate_cyclic(n: int, cap: int | None = None):
 
     Exactly one representative per rotation class is produced; selfinjective
     classes are included (flagged by ``is_selfinjective``).  Default cap is
-    2n - 1.
+    2n - 1; a cap below 2 is raised to 2.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if cap is None:
-        cap = max(2 * n - 1, 2)
-    if cap < 2:
-        raise ValueError(f"need cap >= 2, got {cap}")
+    cap = max(2 * n - 1 if cap is None else cap, 2)
 
     def is_canonical(c):
         # c starts with its maximum; compare against rotations that also do
@@ -244,10 +234,7 @@ def is_maximal(report: HomologyReport) -> bool:
     finite global dimension equal to lambda_1 + 1 that are not
     quasi-hereditary (smallest at n = 5) and those are not counted.
     """
-    if report.gldim == INFINITE or not report.quasi_hereditary:
-        return False
-    bound = report.lambda_one + (1 if report.kind == CYCLIC else 0)
-    return report.gldim == bound
+    return report.quasi_hereditary and report.gldim == report.brown_bound
 
 
 @dataclass(frozen=True)
@@ -319,7 +306,6 @@ def census(
     ns,
     kind: str,
     cap: "int | None" = None,
-    checkers: bool = True,
     strict: bool = False,
 ) -> CensusTable:
     """Count maximal-global-dimension classes per n and cross-check all routes.
@@ -329,9 +315,10 @@ def census(
     count r, the canonical forms produced by both routes must coincide as
     sets, the per-algebra equivalence (maximal iff chain) must hold, and
     the total must be the Fibonacci number F_{2n-2} (cyclic) or F_{2n-3}
-    (linear).  With ``checkers`` the homology property checks run on every
-    enumerated algebra.  Disagreements are recorded in the rows'
-    ``violations``; with ``strict`` they raise CensusMismatch instead.
+    (linear).  The homology property theorems (Madsen, parity, the
+    inequalities) are not re-checked here; ``nakayama verify`` sweeps them.
+    Disagreements are recorded in the rows' ``violations``; with ``strict``
+    they raise CensusMismatch instead.
     """
     rows = []
     for n in ns:
@@ -341,9 +328,8 @@ def census(
         maximal_set = set()
         violations = []
         for series in _algebras(kind, n, cap):
-            report = homology_report(series)
             system = kupisch_to_relations(series)
-            maximal = is_maximal(report)
+            maximal = is_maximal(homology_report(series))
             chain = is_chain(system)
             if maximal != chain:
                 violations.append(
@@ -352,12 +338,6 @@ def census(
             if maximal:
                 maximal_by_r[system.r] = maximal_by_r.get(system.r, 0) + 1
                 maximal_set.add(series.c)
-            if checkers:
-                for m in check_madsen(series):
-                    violations.append(f"{series}: odd-pd factor property fails at {m}")
-                if report.gldim != INFINITE:
-                    violations.extend(check_parity_interpolation(series))
-                violations.extend(check_inequalities(series))
         chain_set = set()
         for r in range(1, n):
             expected = count_closed_form(n, r, kind)

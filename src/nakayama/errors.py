@@ -2,7 +2,9 @@
 
 Every failure mode that callers are expected to catch has its own class so
 tests and the CLI can tell constraint violations apart; all of them derive
-from ``NakayamaError``.
+from ``NakayamaError``.  A broken internal invariant is an ``InternalError``
+instead, which is deliberately not a ``NakayamaError``: it signals a bug in
+the package, never bad input.
 """
 
 
@@ -50,7 +52,11 @@ class SelfinjectiveInput(NakayamaError, ValueError):
     """The operation is undefined for selfinjective algebras (constant series)."""
 
 
-class FiltrationMismatch(NakayamaError):
+class InternalError(Exception):
+    """An internal invariant failed; indicates a bug, not bad input."""
+
+
+class FiltrationMismatch(InternalError):
     """Interval lengths failed to tile a projective exactly; indicates a bug."""
 
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 
 from .core import CYCLIC, LINEAR, KupischSeries, UniserialModule, check_module
-from .errors import FiltrationMismatch, NotCyclic, NotFiltered, SelfinjectiveInput
+from .errors import FiltrationMismatch, InternalError, NotCyclic, NotFiltered, SelfinjectiveInput
 
 TERMINAL_LINEAR = "linear"
 TERMINAL_SELFINJECTIVE = "selfinjective"
@@ -59,7 +59,8 @@ def base_set(series: KupischSeries) -> DeltaBasis:
         top = prev % n + 1
         length = (s - prev - 1) % n + 1
         deltas.append(UniserialModule(top, length))
-    assert sum(d.length for d in deltas) == n, (series, deltas)
+    if sum(d.length for d in deltas) != n:
+        raise InternalError(f"base set of {series} does not tile the cycle: {deltas}")
     return DeltaBasis(
         socle_vertices=tuple(socles),
         top_vertices=tuple(d.top for d in deltas),
@@ -108,24 +109,33 @@ def epsilon(series: KupischSeries) -> EpsilonStep:
     """
     basis = base_set(series)
     c, deltas = series.c, basis.deltas
-    r = len(deltas)
     entries = []
     for j, d in enumerate(deltas):
-        target = c[d.top - 1]
-        total = 0
-        count = 0
-        while total < target:
-            total += deltas[(j + count) % r].length
-            count += 1
-        if total != target:
+        count = _interval_count(deltas, series.n, j, c[d.top - 1])
+        if count is None:
             raise FiltrationMismatch(
-                f"interval lengths of {series} never sum to c_{d.top} = {target}"
+                f"interval lengths of {series} never sum to c_{d.top} = {c[d.top - 1]}"
             )
         entries.append(count)
     return EpsilonStep(
         components=_split_components(entries),
         vertex_map=basis.top_vertices,
     )
+
+
+def _interval_count(deltas, n, j, length):
+    """How many consecutive intervals from index j tile ``length``; None if none do.
+
+    The intervals tile the cycle of length n, so whole turns are counted at once.
+    """
+    turns, rest = divmod(length, n)
+    r = len(deltas)
+    count = turns * r
+    total = 0
+    while total < rest:
+        total += deltas[(j + count) % r].length
+        count += 1
+    return count if total == rest else None
 
 
 def _split_components(entries: list[int]) -> tuple[KupischSeries, ...]:
@@ -202,17 +212,11 @@ def delta_filtration(
     if basis is None:
         basis = base_set(series)
     check_module(series, m)
-    position = {d.top: j for j, d in enumerate(basis.deltas)}
-    j = position.get(m.top)
-    if j is None:
+    if m.top not in basis.top_vertices:
         raise NotFiltered(f"{m} has top {m.top}, which is not an interval top")
-    r = len(basis.deltas)
-    indices = []
-    total = 0
-    while total < m.length:
-        idx = (j + len(indices)) % r
-        indices.append(idx)
-        total += basis.deltas[idx].length
-    if total != m.length:
+    j = basis.top_vertices.index(m.top)
+    count = _interval_count(basis.deltas, series.n, j, m.length)
+    if count is None:
         raise NotFiltered(f"{m} is not tiled exactly by consecutive intervals")
-    return indices
+    r = len(basis.deltas)
+    return [(j + k) % r for k in range(count)]

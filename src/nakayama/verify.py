@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 
-from .core import CYCLIC, LINEAR, UniserialModule, kupisch_to_relations, syzygy
+from .core import CYCLIC, LINEAR, kupisch_to_relations, syzygy
 from .enumeration import (
     census,
     enumerate_cyclic,
@@ -22,9 +22,10 @@ from .enumeration import (
     is_maximal,
 )
 from .errors import NotFiltered
-from .filtration import TERMINAL_LINEAR, base_set, delta_filtration, epsilon, epsilon_tower
+from .filtration import TERMINAL_LINEAR, base_set, delta_filtration, epsilon_tower
 from .homology import (
     INFINITE,
+    all_modules,
     check_inequalities,
     check_madsen,
     check_parity_interpolation,
@@ -50,85 +51,121 @@ def _all_algebras(n: int, cap=None):
         yield from enumerate_linear(n)
 
 
+def _cyclic_non_selfinjective(n: int, cap=None):
+    return (series for series in enumerate_cyclic(n, cap) if not series.is_selfinjective)
+
+
+def _sweep(algebras, noun, check):
+    """Run ``check`` on every algebra; it returns None to skip one, else its violations."""
+    count = 0
+    violations = []
+    for series in algebras:
+        found = check(series)
+        if found is not None:
+            count += 1
+            violations.extend(found)
+    return f"{count} {noun}", violations
+
+
+def _sconnected_qh(series):
+    report = homology_report(series)
+    if report.s_connected is None:
+        # undefined for infinite global dimension; quasi-heredity must fail too
+        if report.quasi_hereditary:
+            return [f"{series}: infinite gldim but quasi-hereditary"]
+    elif report.s_connected != report.quasi_hereditary:
+        return [f"{series}: s_connected={report.s_connected}"
+                f" != quasi_hereditary={report.quasi_hereditary}"]
+    return []
+
+
+def _brown(series):
+    report = homology_report(series)
+    if not report.quasi_hereditary:
+        return None
+    if report.gldim > report.brown_bound:
+        return [f"{series}: gldim {report.gldim} > {report.brown_bound}"]
+    return []
+
+
+def _madsen(series):
+    return [f"{series}: fails at {m}" for m in check_madsen(series)]
+
+
+def _parity(series):
+    if homology_report(series).gldim == INFINITE:
+        return None
+    return check_parity_interpolation(series)
+
+
+def _chain(series):
+    maximal = is_maximal(homology_report(series))
+    chain = is_chain(kupisch_to_relations(series))
+    return [] if maximal == chain else [f"{series}: maximal={maximal} but chain={chain}"]
+
+
+def _epsilon(series):
+    violations = []
+    report = homology_report(series)
+    finite = report.gldim != INFINITE
+    tower = epsilon_tower(series)
+    if (tower.terminal == TERMINAL_LINEAR) != finite:
+        violations.append(f"{series}: terminal {tower.terminal} but gldim {report.gldim}")
+    step = tower.steps[0]
+    if step.vertex_count != kupisch_to_relations(series).r:
+        violations.append(f"{series}: reduced algebra has {step.vertex_count}"
+                          f" vertices, expected the relation count")
+    if finite:
+        reduced_gldim = max(
+            homology_report(component).gldim for component in step.components
+        )
+        if reduced_gldim + 2 != report.gldim:
+            violations.append(
+                f"{series}: gldim {report.gldim} but reduced gldim {reduced_gldim}"
+            )
+    if step.is_cyclic == report.quasi_hereditary:
+        violations.append(f"{series}: quasi-heredity disagrees with reduction shape")
+    basis = base_set(series)
+    for m in all_modules(series):
+        first = syzygy(series, m)
+        second = syzygy(series, first) if first is not None else None
+        if second is None:
+            continue
+        try:
+            delta_filtration(series, second, basis)
+        except NotFiltered as exc:
+            violations.append(f"{series}: {second} not tiled ({exc})")
+    return violations
+
+
 def suite_sconnected_qh(n: int, cap=None) -> tuple[str, list[str]]:
     """S-connected iff quasi-hereditary, on every connected non-semisimple algebra."""
-    violations = []
-    count = 0
-    for series in _all_algebras(n, cap):
-        report = homology_report(series)
-        count += 1
-        if report.s_connected is None:
-            # undefined for infinite global dimension; quasi-heredity must fail too
-            if report.quasi_hereditary:
-                violations.append(f"{series}: infinite gldim but quasi-hereditary")
-        elif report.s_connected != report.quasi_hereditary:
-            violations.append(
-                f"{series}: s_connected={report.s_connected}"
-                f" != quasi_hereditary={report.quasi_hereditary}"
-            )
-    return f"{count} algebras", violations
+    return _sweep(_all_algebras(n, cap), "algebras", _sconnected_qh)
 
 
 def suite_brown(n: int, cap=None) -> tuple[str, list[str]]:
     """Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic)."""
-    violations = []
-    count = 0
-    for series in _all_algebras(n, cap):
-        report = homology_report(series)
-        if not report.quasi_hereditary:
-            continue
-        count += 1
-        bound = report.lambda_one + (1 if series.kind == CYCLIC else 0)
-        if report.gldim > bound:
-            violations.append(f"{series}: gldim {report.gldim} > {bound}")
-    return f"{count} quasi-hereditary algebras", violations
+    return _sweep(_all_algebras(n, cap), "quasi-hereditary algebras", _brown)
 
 
 def suite_generalized_inequality(n: int, cap=None) -> tuple[str, list[str]]:
     """gldim <= a + lambda_c for every attained c, plus the linear sink bound."""
-    violations = []
-    count = 0
-    for series in _all_algebras(n, cap):
-        count += 1
-        violations.extend(check_inequalities(series))
-    return f"{count} algebras", violations
+    return _sweep(_all_algebras(n, cap), "algebras", check_inequalities)
 
 
 def suite_madsen(n: int, cap=None) -> tuple[str, list[str]]:
     """Odd-pd modules attain their pd on a composition factor."""
-    violations = []
-    count = 0
-    for series in _all_algebras(n, cap):
-        count += 1
-        for m in check_madsen(series):
-            violations.append(f"{series}: fails at {m}")
-    return f"{count} algebras", violations
+    return _sweep(_all_algebras(n, cap), "algebras", _madsen)
 
 
 def suite_parity(n: int, cap=None) -> tuple[str, list[str]]:
     """Odd attainment and even interpolation of simple pd values."""
-    violations = []
-    count = 0
-    for series in _all_algebras(n, cap):
-        report = homology_report(series)
-        if report.gldim == INFINITE:
-            continue
-        count += 1
-        violations.extend(check_parity_interpolation(series))
-    return f"{count} finite-gldim algebras", violations
+    return _sweep(_all_algebras(n, cap), "finite-gldim algebras", _parity)
 
 
 def suite_chain(n: int, cap=None) -> tuple[str, list[str]]:
     """Maximal global dimension iff the defining relations form a chain."""
-    violations = []
-    count = 0
-    for series in _all_algebras(n, cap):
-        count += 1
-        maximal = is_maximal(homology_report(series))
-        chain = is_chain(kupisch_to_relations(series))
-        if maximal != chain:
-            violations.append(f"{series}: maximal={maximal} but chain={chain}")
-    return f"{count} algebras", violations
+    return _sweep(_all_algebras(n, cap), "algebras", _chain)
 
 
 def suite_fibonacci(n: int, cap=None) -> tuple[str, list[str]]:
@@ -136,7 +173,7 @@ def suite_fibonacci(n: int, cap=None) -> tuple[str, list[str]]:
     details = []
     violations = []
     for kind, index in ((CYCLIC, 2 * n - 2), (LINEAR, 2 * n - 3)):
-        table = census([n], kind, cap=cap, checkers=False)
+        table = census([n], kind, cap=cap)
         violations.extend(table.violations)
         details.append(f"{kind} {table.counts()[n]} (F={fibonacci(index)})")
     return "; ".join(details), violations
@@ -144,48 +181,8 @@ def suite_fibonacci(n: int, cap=None) -> tuple[str, list[str]]:
 
 def suite_epsilon(n: int, cap=None) -> tuple[str, list[str]]:
     """Tower terminal, dimension drop by two, and second-syzygy tiling."""
-    violations = []
-    count = 0
-    for series in enumerate_cyclic(n, cap):
-        if series.is_selfinjective:
-            continue
-        count += 1
-        report = homology_report(series)
-        finite = report.gldim != INFINITE
-        tower = epsilon_tower(series)
-        if (tower.terminal == TERMINAL_LINEAR) != finite:
-            violations.append(
-                f"{series}: terminal {tower.terminal} but gldim {report.gldim}"
-            )
-        step = epsilon(series)
-        if step.vertex_count != kupisch_to_relations(series).r:
-            violations.append(f"{series}: reduced algebra has {step.vertex_count}"
-                              f" vertices, expected the relation count")
-        if finite:
-            reduced_gldim = max(
-                homology_report(component).gldim for component in step.components
-            )
-            if reduced_gldim + 2 != report.gldim:
-                violations.append(
-                    f"{series}: gldim {report.gldim} but reduced gldim {reduced_gldim}"
-                )
-        qh_restated = not step.is_cyclic
-        if qh_restated != report.quasi_hereditary:
-            violations.append(f"{series}: quasi-heredity disagrees with reduction shape")
-        basis = base_set(series)
-        for v in range(1, series.n + 1):
-            for length in range(1, series.c[v - 1] + 1):
-                first = syzygy(series, UniserialModule(v, length))
-                if first is None:
-                    continue
-                second = syzygy(series, first)
-                if second is None:
-                    continue
-                try:
-                    delta_filtration(series, second, basis)
-                except NotFiltered as exc:
-                    violations.append(f"{series}: {second} not tiled ({exc})")
-    return f"{count} cyclic non-selfinjective algebras", violations
+    return _sweep(_cyclic_non_selfinjective(n, cap), "cyclic non-selfinjective algebras",
+                  _epsilon)
 
 
 _SUITE_FUNCTIONS = {

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import nakayama.cli as cli_mod
 import nakayama.verify as verify_mod
 from nakayama.cli import main
+from nakayama.errors import FiltrationMismatch, InternalError, NakayamaError
 
 
 def run(capsys, *argv):
@@ -170,6 +172,22 @@ def test_verify_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "suite,n_max,violations"
     assert "fibonacci,3,0" in out
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(series):
+        raise InternalError("invariant broken")
+
+    monkeypatch.setattr(cli_mod, "homology_report", broken)
+    code, out, err = run(capsys, "analyze", "--cyclic", "3,4,4")
+    assert code == 3
+    assert out == ""
+    assert "internal error: invariant broken" in err
+
+
+def test_internal_errors_are_not_input_errors():
+    assert not issubclass(InternalError, NakayamaError)
+    assert issubclass(FiltrationMismatch, InternalError)
 
 
 # ---------------------------------------------------------------------------
