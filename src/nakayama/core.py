@@ -173,26 +173,29 @@ def composition_factors(series: KupischSeries, m: UniserialModule) -> tuple[int,
 
 
 def _syzygy_step(c, cyclic, top, length):
-    """(top, length) of the syzygy of the non-projective M(top, length)."""
-    return (top - 1 + length) % len(c) + 1 if cyclic else top + length, c[top - 1] - length
+    """(top, length) of the syzygy of the non-projective M(top, length).
+
+    The step constraint on the series guarantees the result is again a
+    valid module; a result that is not raises InternalError.
+    """
+    new_top = (top - 1 + length) % len(c) + 1 if cyclic else top + length
+    new_length = c[top - 1] - length
+    if new_length > c[new_top - 1]:
+        raise InternalError(f"syzygy of M({top},{length}) over [{','.join(map(str, c))}]"
+                            f" is too long: M({new_top},{new_length})")
+    return new_top, new_length
 
 
 def syzygy(series: KupischSeries, m: UniserialModule) -> UniserialModule | None:
     """Kernel of the projective cover, or None when the module is projective.
 
     For M(t, l) over the projective of length c_t the kernel is the radical
-    power rad^l, which is uniserial with top t + l and length c_t - l.  The
-    step constraint on the series guarantees the result is again a valid
-    module; a result that is not raises InternalError.
+    power rad^l, which is uniserial with top t + l and length c_t - l.
     """
     check_module(series, m)
-    c = series.c
-    if m.length == c[m.top - 1]:
+    if m.length == series.c[m.top - 1]:
         return None
-    top, length = _syzygy_step(c, series.kind == CYCLIC, m.top, m.length)
-    if length > c[top - 1]:
-        raise InternalError(f"syzygy of {m} over {series} is too long: M({top},{length})")
-    return UniserialModule(top, length)
+    return UniserialModule(*_syzygy_step(series.c, series.kind == CYCLIC, m.top, m.length))
 
 
 # ---------------------------------------------------------------------------

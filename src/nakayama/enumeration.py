@@ -296,10 +296,50 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-def _algebras(kind: str, n: int, cap: "int | None"):
-    if kind == CYCLIC:
-        return enumerate_cyclic(n, cap)
-    return enumerate_linear(n)
+class _MaximalTally:
+    """The brute-force census route for one n and kind, fed one algebra at a time.
+
+    ``rows`` checks it against the chain systems, the closed forms and the
+    Fibonacci number; the last (total) row carries the disagreements.
+    """
+
+    def __init__(self, n: int, kind: str):
+        self.n, self.kind = n, kind
+        self.by_r, self.classes, self.violations = {}, set(), []
+
+    def add(self, series: KupischSeries, maximal: bool, r: int, chain: bool) -> None:
+        if maximal != chain:
+            self.violations.append(f"{series}: maximal={maximal} but chain={chain}")
+        if maximal:
+            self.by_r[r] = self.by_r.get(r, 0) + 1
+            self.classes.add(series.c)
+
+    def rows(self) -> list:
+        n, kind, violations = self.n, self.kind, self.violations
+        rows, chain_set = [], set()
+        for r in range(1, n):
+            expected = count_closed_form(n, r, kind)
+            chains_r = [ch.to_kupisch().c for ch in enumerate_chains(n, r, kind)]
+            chain_set.update(chains_r)
+            if len(chains_r) != expected:
+                violations.append(
+                    f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}"
+                )
+            maximal = self.by_r.get(r, 0)
+            if maximal != len(chains_r):
+                violations.append(
+                    f"n={n} r={r} {kind}: {maximal} maximal != {len(chains_r)} chains"
+                )
+            rows.append(CensusRow(n, kind, r, maximal, expected, None))
+        if chain_set != self.classes:
+            extra = sorted(chain_set ^ self.classes)
+            violations.append(f"n={n} {kind}: chain/maximal sets differ at {extra}")
+        total = sum(self.by_r.values())
+        fib = fibonacci(2 * n - 2 if kind == CYCLIC else 2 * n - 3)
+        if total != fib:
+            violations.append(f"n={n} {kind}: total {total} != Fibonacci {fib}")
+        rows.append(CensusRow(n, kind, None, total, None, fib, tuple(violations)))
+        return rows
 
 
 def census(
@@ -324,45 +364,11 @@ def census(
     for n in ns:
         if n < 2:
             raise ValueError(f"census needs n >= 2, got {n}")
-        maximal_by_r = {}
-        maximal_set = set()
-        violations = []
-        for series in _algebras(kind, n, cap):
+        tally = _MaximalTally(n, kind)
+        for series in enumerate_cyclic(n, cap) if kind == CYCLIC else enumerate_linear(n):
             system = kupisch_to_relations(series)
-            maximal = is_maximal(homology_report(series))
-            chain = is_chain(system)
-            if maximal != chain:
-                violations.append(
-                    f"{series}: maximal={maximal} but chain={chain}"
-                )
-            if maximal:
-                maximal_by_r[system.r] = maximal_by_r.get(system.r, 0) + 1
-                maximal_set.add(series.c)
-        chain_set = set()
-        for r in range(1, n):
-            expected = count_closed_form(n, r, kind)
-            chains_r = [ch.to_kupisch().c for ch in enumerate_chains(n, r, kind)]
-            chain_set.update(chains_r)
-            if len(chains_r) != expected:
-                violations.append(
-                    f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}"
-                )
-            if maximal_by_r.get(r, 0) != len(chains_r):
-                violations.append(
-                    f"n={n} r={r} {kind}: {maximal_by_r.get(r, 0)} maximal"
-                    f" != {len(chains_r)} chains"
-                )
-            rows.append(
-                CensusRow(n, kind, r, maximal_by_r.get(r, 0), expected, None)
-            )
-        if chain_set != maximal_set:
-            extra = sorted(chain_set ^ maximal_set)
-            violations.append(f"n={n} {kind}: chain/maximal sets differ at {extra}")
-        total = sum(maximal_by_r.values())
-        fib = fibonacci(2 * n - 2 if kind == CYCLIC else 2 * n - 3)
-        if total != fib:
-            violations.append(f"n={n} {kind}: total {total} != Fibonacci {fib}")
-        rows.append(CensusRow(n, kind, None, total, None, fib, tuple(violations)))
+            tally.add(series, is_maximal(homology_report(series)), system.r, is_chain(system))
+        rows.extend(tally.rows())
     table = CensusTable(kind, tuple(rows))
     if strict and table.violations:
         raise CensusMismatch(table.violations)

@@ -20,7 +20,6 @@ from .core import (
     UniserialModule,
     _syzygy_step,
     check_module,
-    composition_factors,
     syzygy,
 )
 from .errors import InfiniteGlobalDimension, InternalError
@@ -51,10 +50,11 @@ def projective_dimension(series: KupischSeries, m: UniserialModule, memo=None):
     once written, so the answer never depends on query order.
     """
     check_module(series, m)
-    c, cyclic = series.c, series.kind == CYCLIC
-    if memo is None:
-        memo = {}
-    top, length = m.top, m.length
+    return _pd_walk(series.c, series.kind == CYCLIC, m.top, m.length, {} if memo is None else memo)
+
+
+def _pd_walk(c, cyclic, top, length, memo):
+    """The walk of ``projective_dimension`` from the valid module M(top, length)."""
     path = []
     on_path = set()
     while True:
@@ -81,10 +81,8 @@ def pd_simples(series: KupischSeries, memo=None) -> tuple:
     """Projective dimension of every simple module, indexed by vertex."""
     if memo is None:
         memo = {}
-    return tuple(
-        projective_dimension(series, UniserialModule(v, 1), memo)
-        for v in range(1, series.n + 1)
-    )
+    c, cyclic = series.c, series.kind == CYCLIC
+    return tuple(_pd_walk(c, cyclic, v, 1, memo) for v in range(1, series.n + 1))
 
 
 def all_modules(series: KupischSeries):
@@ -151,9 +149,9 @@ class HomologyReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def homology_report(series: KupischSeries) -> HomologyReport:
-    """Compute the full report for a connected Nakayama algebra."""
-    pds = pd_simples(series)
+def homology_report(series: KupischSeries, memo=None) -> HomologyReport:
+    """Compute the full report for a connected Nakayama algebra (``memo`` as in pd_simples)."""
+    pds = pd_simples(series, memo)
     gldim = max(pds)
     o_set = tuple(sorted({p for p in pds if p != INFINITE}))
     a_min = o_set[0] if o_set else None
@@ -187,35 +185,39 @@ def homology_report(series: KupischSeries) -> HomologyReport:
 # Checkable consequences (each returns a list of violations, [] on success)
 # ---------------------------------------------------------------------------
 
-def check_madsen(series: KupischSeries) -> list:
+def check_madsen(series: KupischSeries, memo=None) -> list:
     """Odd-pd modules attain their pd on a composition factor.
 
     For every uniserial module M of finite odd projective dimension, the
     maximum of the finite pds of its simple composition factors must exist
-    and equal pd M.  Returns the violating modules.
+    and equal pd M.  Returns the violating modules.  M(t, l) adds the factor
+    at t + l - 1 to those of M(t, l - 1), so one walk per top keeps the maximum.
     """
-    memo = {}
+    if memo is None:
+        memo = {}
     pds = pd_simples(series, memo)
+    c, n, cyclic = series.c, series.n, series.kind == CYCLIC
     violations = []
-    for m in all_modules(series):
-        p = projective_dimension(series, m, memo)
-        if p == INFINITE or p % 2 == 0:
-            continue
-        factor_pds = [pds[v - 1] for v in composition_factors(series, m)]
-        finite = [q for q in factor_pds if q != INFINITE]
-        if not finite or max(finite) != p:
-            violations.append(m)
+    for top in range(1, n + 1):
+        best = None  # largest finite pd among the factors so far
+        for length in range(1, c[top - 1]):  # projectives have pd 0
+            q = pds[(top + length - 2) % n]
+            if q != INFINITE and (best is None or q > best):
+                best = q
+            p = _pd_walk(c, cyclic, top, length, memo)
+            if p != INFINITE and p % 2 == 1 and p != best:
+                violations.append(UniserialModule(top, length))
     return violations
 
 
-def check_parity_interpolation(series: KupischSeries) -> list[str]:
+def check_parity_interpolation(series: KupischSeries, memo=None) -> list[str]:
     """Odd values up to gldim are all attained; even values interpolate.
 
     Requires finite global dimension (raises InfiniteGlobalDimension
     otherwise).  Between any two attained even pds every intermediate even
     value must be attained as well.
     """
-    pds = pd_simples(series)
+    pds = pd_simples(series, memo)
     if INFINITE in pds:
         raise InfiniteGlobalDimension(f"{series} has infinite global dimension")
     gldim = max(pds)
@@ -232,15 +234,16 @@ def check_parity_interpolation(series: KupischSeries) -> list[str]:
     return violations
 
 
-def check_inequalities(series: KupischSeries) -> list[str]:
+def check_inequalities(series: KupischSeries, report=None) -> list[str]:
     """Interval bound, Brown's bound, and the acyclic sink bound.
 
     When the pd values of simples form an interval: gldim <= a + lambda_c
     for every attained c.  When the algebra is quasi-hereditary: Brown's
     gldim <= lambda_1 (linear) or lambda_1 + 1 (cyclic).  Linear algebras
-    additionally satisfy gldim <= n - 1 (one sink).
+    additionally satisfy gldim <= n - 1 (one sink).  ``report``: the
+    algebra's report, when already computed.
     """
-    report = homology_report(series)
+    report = report or homology_report(series)
     violations = []
     if report.s_connected:
         for cc in report.o_set:

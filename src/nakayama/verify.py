@@ -3,29 +3,23 @@
 Each suite sweeps the full enumeration (cyclic entries capped at 2n-1 by
 default, every linear series) up to a given vertex count and returns a
 list of violation strings; an empty list means the theorem held on every
-instance.  ``run_suites`` executes several suites, optionally spreading
-the per-n work over a process pool; the merge is deterministic, so the
-number of workers never changes any result.
+instance.  ``run_suites`` runs the requested suites in one sweep per n,
+optionally one n per worker of a process pool; the merge is deterministic,
+so the number of workers never changes any result.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from contextvars import ContextVar
+from functools import cached_property
 
-from .core import CYCLIC, LINEAR, kupisch_to_relations, syzygy
-from .enumeration import (
-    census,
-    enumerate_cyclic,
-    enumerate_linear,
-    fibonacci,
-    is_chain,
-    is_maximal,
-)
+from .core import CYCLIC, LINEAR, UniserialModule, _syzygy_step, kupisch_to_relations
+from .enumeration import _MaximalTally, enumerate_cyclic, enumerate_linear, is_chain, is_maximal
 from .errors import NotFiltered
 from .filtration import TERMINAL_LINEAR, base_set, delta_filtration, epsilon_tower
 from .homology import (
     INFINITE,
-    all_modules,
     check_inequalities,
     check_madsen,
     check_parity_interpolation,
@@ -51,24 +45,23 @@ def _all_algebras(n: int, cap=None):
         yield from enumerate_linear(n)
 
 
-def _cyclic_non_selfinjective(n: int, cap=None):
-    return (series for series in enumerate_cyclic(n, cap) if not series.is_selfinjective)
+class _Profile:
+    """One algebra and what the suites read about it, each computed on first use."""
+
+    def __init__(self, series):
+        self.series, self.memo = series, {}
+
+    report = cached_property(lambda self: homology_report(self.series, self.memo))
+    relations = cached_property(lambda self: kupisch_to_relations(self.series))
+    chain = cached_property(lambda self: is_chain(self.relations))
+    tower = cached_property(lambda self: epsilon_tower(self.series))
+    basis = cached_property(lambda self: base_set(self.series))
 
 
-def _sweep(algebras, noun, check):
-    """Run ``check`` on every algebra; it returns None to skip one, else its violations."""
-    count = 0
-    violations = []
-    for series in algebras:
-        found = check(series)
-        if found is not None:
-            count += 1
-            violations.extend(found)
-    return f"{count} {noun}", violations
+# Each predicate returns None to skip an algebra, else its violations.
 
-
-def _sconnected_qh(series):
-    report = homology_report(series)
+def _sconnected_qh(profile):
+    series, report = profile.series, profile.report
     if report.s_connected is None:
         # undefined for infinite global dimension; quasi-heredity must fail too
         if report.quasi_hereditary:
@@ -79,40 +72,42 @@ def _sconnected_qh(series):
     return []
 
 
-def _brown(series):
-    report = homology_report(series)
+def _brown(profile):
+    report = profile.report
     if not report.quasi_hereditary:
         return None
     if report.gldim > report.brown_bound:
-        return [f"{series}: gldim {report.gldim} > {report.brown_bound}"]
+        return [f"{profile.series}: gldim {report.gldim} > {report.brown_bound}"]
     return []
 
 
-def _madsen(series):
-    return [f"{series}: fails at {m}" for m in check_madsen(series)]
+def _madsen(profile):
+    return [f"{profile.series}: fails at {m}" for m in check_madsen(profile.series, profile.memo)]
 
 
-def _parity(series):
-    if homology_report(series).gldim == INFINITE:
+def _parity(profile):
+    if profile.report.gldim == INFINITE:
         return None
-    return check_parity_interpolation(series)
+    return check_parity_interpolation(profile.series, profile.memo)
 
 
-def _chain(series):
-    maximal = is_maximal(homology_report(series))
-    chain = is_chain(kupisch_to_relations(series))
-    return [] if maximal == chain else [f"{series}: maximal={maximal} but chain={chain}"]
+def _chain(profile):
+    maximal, chain = is_maximal(profile.report), profile.chain
+    return [] if maximal == chain else [f"{profile.series}: maximal={maximal} but chain={chain}"]
 
 
-def _epsilon(series):
+def _epsilon(profile):
+    series = profile.series
+    if series.kind != CYCLIC or series.is_selfinjective:
+        return None
     violations = []
-    report = homology_report(series)
+    report = profile.report
     finite = report.gldim != INFINITE
-    tower = epsilon_tower(series)
+    tower = profile.tower
     if (tower.terminal == TERMINAL_LINEAR) != finite:
         violations.append(f"{series}: terminal {tower.terminal} but gldim {report.gldim}")
     step = tower.steps[0]
-    if step.vertex_count != kupisch_to_relations(series).r:
+    if step.vertex_count != profile.relations.r:
         violations.append(f"{series}: reduced algebra has {step.vertex_count}"
                           f" vertices, expected the relation count")
     if finite:
@@ -125,64 +120,125 @@ def _epsilon(series):
             )
     if step.is_cyclic == report.quasi_hereditary:
         violations.append(f"{series}: quasi-heredity disagrees with reduction shape")
-    basis = base_set(series)
-    for m in all_modules(series):
-        first = syzygy(series, m)
-        second = syzygy(series, first) if first is not None else None
-        if second is None:
-            continue
-        try:
-            delta_filtration(series, second, basis)
-        except NotFiltered as exc:
-            violations.append(f"{series}: {second} not tiled ({exc})")
+    c, basis = series.c, profile.basis
+    untiled = {}  # second syzygy (top, length) -> its violation, or None when tiled
+    for top in range(1, series.n + 1):
+        for length in range(1, c[top - 1]):  # projectives have no syzygy
+            first = _syzygy_step(c, True, top, length)
+            if first[1] == c[first[0] - 1]:
+                continue
+            second = _syzygy_step(c, True, *first)
+            if second not in untiled:
+                module = UniserialModule(*second)
+                try:
+                    delta_filtration(series, module, basis)
+                    untiled[second] = None
+                except NotFiltered as exc:
+                    untiled[second] = f"{series}: {module} not tiled ({exc})"
+            if untiled[second]:
+                violations.append(untiled[second])
     return violations
+
+
+_CHECKS = {  # suite -> (noun for the algebras it checks, predicate)
+    "sconnected-qh": ("algebras", _sconnected_qh),
+    "brown": ("quasi-hereditary algebras", _brown),
+    "generalized-inequality": ("algebras", lambda p: check_inequalities(p.series, p.report)),
+    "madsen": ("algebras", _madsen),
+    "parity": ("finite-gldim algebras", _parity),
+    "chain": ("algebras", _chain),
+    "epsilon": ("cyclic non-selfinjective algebras", _epsilon),
+}
+
+
+class _Sweep:
+    """One pass over the n-vertex algebras giving each named suite's (detail, violations).
+
+    The pass runs when ``results`` is first read, inside the first suite call
+    of a task, so a task whose suites never read it costs nothing.
+    """
+
+    def __init__(self, names, n: int, cap=None):
+        self.names, self.n, self.cap = names, n, cap
+
+    @cached_property
+    def results(self) -> dict:
+        checks = {name: _CHECKS[name][1] for name in self.names if name in _CHECKS}
+        found = {name: [0, []] for name in checks}  # algebras checked, violations
+        fibonacci = "fibonacci" in self.names
+        tallies = {kind: _MaximalTally(self.n, kind) for kind in (CYCLIC, LINEAR)}
+        for series in _all_algebras(self.n, self.cap):
+            profile = _Profile(series)
+            for name, predicate in checks.items():
+                violations = predicate(profile)
+                if violations is not None:
+                    found[name][0] += 1
+                    found[name][1].extend(violations)
+            if fibonacci:
+                tallies[series.kind].add(series, is_maximal(profile.report),
+                                         profile.relations.r, profile.chain)
+        results = {name: (f"{count} {_CHECKS[name][0]}", violations)
+                   for name, (count, violations) in found.items()}
+        if fibonacci:
+            totals = [tally.rows()[-1] for tally in tallies.values()]
+            results["fibonacci"] = (
+                "; ".join(f"{t.kind} {t.enumerated} (F={t.fibonacci})" for t in totals),
+                [v for t in totals for v in t.violations],
+            )
+        return results
+
+
+# The sweep that the suites of one run_suites task share.  Suites are called
+# as _SUITE_FUNCTIONS[name](n, cap), so it reaches them through the context.
+_task_sweep = ContextVar("_task_sweep", default=None)
+
+
+def _result(name, n, cap):
+    """The suite's (detail, violations) from the task's shared sweep, or from its own."""
+    sweep = _task_sweep.get()
+    if sweep is None or name not in sweep.names or (sweep.n, sweep.cap) != (n, cap):
+        sweep = _Sweep((name,), n, cap)
+    return sweep.results[name]
 
 
 def suite_sconnected_qh(n: int, cap=None) -> tuple[str, list[str]]:
     """S-connected iff quasi-hereditary, on every connected non-semisimple algebra."""
-    return _sweep(_all_algebras(n, cap), "algebras", _sconnected_qh)
+    return _result("sconnected-qh", n, cap)
 
 
 def suite_brown(n: int, cap=None) -> tuple[str, list[str]]:
     """Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic)."""
-    return _sweep(_all_algebras(n, cap), "quasi-hereditary algebras", _brown)
+    return _result("brown", n, cap)
 
 
 def suite_generalized_inequality(n: int, cap=None) -> tuple[str, list[str]]:
     """gldim <= a + lambda_c for every attained c, plus the linear sink bound."""
-    return _sweep(_all_algebras(n, cap), "algebras", check_inequalities)
+    return _result("generalized-inequality", n, cap)
 
 
 def suite_madsen(n: int, cap=None) -> tuple[str, list[str]]:
     """Odd-pd modules attain their pd on a composition factor."""
-    return _sweep(_all_algebras(n, cap), "algebras", _madsen)
+    return _result("madsen", n, cap)
 
 
 def suite_parity(n: int, cap=None) -> tuple[str, list[str]]:
     """Odd attainment and even interpolation of simple pd values."""
-    return _sweep(_all_algebras(n, cap), "finite-gldim algebras", _parity)
+    return _result("parity", n, cap)
 
 
 def suite_chain(n: int, cap=None) -> tuple[str, list[str]]:
     """Maximal global dimension iff the defining relations form a chain."""
-    return _sweep(_all_algebras(n, cap), "algebras", _chain)
+    return _result("chain", n, cap)
 
 
 def suite_fibonacci(n: int, cap=None) -> tuple[str, list[str]]:
     """Census counts match the Fibonacci values, all three routes agreeing."""
-    details = []
-    violations = []
-    for kind, index in ((CYCLIC, 2 * n - 2), (LINEAR, 2 * n - 3)):
-        table = census([n], kind, cap=cap)
-        violations.extend(table.violations)
-        details.append(f"{kind} {table.counts()[n]} (F={fibonacci(index)})")
-    return "; ".join(details), violations
+    return _result("fibonacci", n, cap)
 
 
 def suite_epsilon(n: int, cap=None) -> tuple[str, list[str]]:
     """Tower terminal, dimension drop by two, and second-syzygy tiling."""
-    return _sweep(_cyclic_non_selfinjective(n, cap), "cyclic non-selfinjective algebras",
-                  _epsilon)
+    return _result("epsilon", n, cap)
 
 
 _SUITE_FUNCTIONS = {
@@ -198,32 +254,39 @@ _SUITE_FUNCTIONS = {
 
 
 def _run_task(task):
-    name, n, cap = task
-    detail, violations = _SUITE_FUNCTIONS[name](n, cap)
-    return name, n, detail, violations
+    names, n, cap = task
+    token = _task_sweep.set(_Sweep(names, n, cap))
+    try:
+        return n, [_SUITE_FUNCTIONS[name](n, cap) for name in names]
+    finally:
+        _task_sweep.reset(token)
 
 
 def run_suites(names, n_max: int, cap=None, jobs: int = 1):
-    """Run the named suites for every n up to n_max.
+    """Run the named suites for every n up to n_max, one shared sweep per n.
 
-    Returns {suite: (details-by-n, violations)}.  Results are merged in
+    Returns {suite: (details-by-n, violations)}.  With ``jobs`` > 1 the
+    sweeps run on a pool of at most one worker per n; results are merged in
     (suite, n) order regardless of worker scheduling, so the output is
     identical for any ``jobs``.
     """
     names = list(dict.fromkeys(names))
+    if not names:
+        raise ValueError("no theorems selected")
     for name in names:
         if name not in _SUITE_FUNCTIONS:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    tasks = [(name, n, cap) for name in names for n in range(2, n_max + 1)]
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    tasks = [(names, n, cap) for n in range(2, n_max + 1)]
     if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             outcomes = pool.map(_run_task, tasks, chunksize=1)
     else:
         outcomes = [_run_task(task) for task in tasks]
     merged = {name: ([], []) for name in names}
-    for name, n, detail, violations in sorted(
-        outcomes, key=lambda item: (names.index(item[0]), item[1])
-    ):
-        merged[name][0].append(f"n={n}: {detail}")
-        merged[name][1].extend(violations)
+    for n, results in outcomes:  # map keeps task order, which is n order
+        for name, (detail, violations) in zip(names, results):
+            merged[name][0].append(f"n={n}: {detail}")
+            merged[name][1].extend(violations)
     return merged

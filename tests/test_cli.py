@@ -151,6 +151,22 @@ def test_verify_violation_exits_2(capsys, monkeypatch):
     assert "fake counterexample [9,9]" in out
 
 
+@pytest.mark.parametrize("theorems", [",", ""])
+def test_verify_empty_theorem_list_exits_1(capsys, theorems):
+    code, out, err = run(capsys, "verify", "--theorems", theorems, "--n-max", "3")
+    assert code == 1
+    assert out == ""
+    assert "error: no theorems selected" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--theorems", "chain", "--n-max", "3", "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert "jobs must be at least 1" in err
+
+
 def test_verify_jobs_do_not_change_output(capsys):
     _, seq, _ = run(capsys, "verify", "--theorems", "chain,fibonacci", "--n-max", "4",
                     "--jobs", "1")

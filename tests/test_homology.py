@@ -12,6 +12,7 @@ from nakayama import (
     check_inequalities,
     check_madsen,
     check_parity_interpolation,
+    composition_factors,
     enumerate_cyclic,
     enumerate_linear,
     homology_report,
@@ -22,6 +23,7 @@ from nakayama import (
     validate,
 )
 from nakayama.errors import InfiniteGlobalDimension
+from nakayama.homology import all_modules
 
 from conftest import any_series
 from oracles import oracle_pd
@@ -183,6 +185,35 @@ def test_madsen_examples():
     assert check_madsen(validate(CYCLIC, (3, 4, 4))) == []
     assert check_madsen(validate(CYCLIC, (3, 2, 2))) == []
     assert check_madsen(validate(CYCLIC, (2, 2, 2))) == []  # vacuous
+
+
+def _madsen_by_definition(series, memo=None):
+    """Violating modules of the Madsen property, one module at a time."""
+    memo = {} if memo is None else memo
+    simple = pd_simples(series, memo)
+    bad = []
+    for m in all_modules(series):
+        p = projective_dimension(series, m, memo)
+        if p == INFINITE or p % 2 == 0:
+            continue
+        finite = [simple[v - 1] for v in composition_factors(series, m)
+                  if simple[v - 1] != INFINITE]
+        if not finite or max(finite) != p:
+            bad.append(m)
+    return bad
+
+
+def test_madsen_running_maximum_matches_definition():
+    for series in all_algebras(5):
+        assert check_madsen(series) == _madsen_by_definition(series), series
+
+
+def test_madsen_reports_a_module_whose_pd_misses_its_factors():
+    # pd M(1,2) = 5 is injected through the memo; its factors have pd 1
+    series = validate(LINEAR, (3, 2, 1))
+    found = check_madsen(series, {(1, 2): 5})
+    assert found == [UniserialModule(1, 2)]
+    assert found == _madsen_by_definition(series, {(1, 2): 5})
 
 
 def test_parity_examples():
