@@ -217,19 +217,17 @@ def cmd_verify(args) -> int:
     ]
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     results = run_suites(names, args.n_max, cap=args.cap, jobs=jobs)
-    total = 0
+    total = sum(len(v) for _, v in results.values())
     if args.format == "json":
         payload = {
             name: {"details": details, "violations": violations}
             for name, (details, violations) in results.items()
         }
         print(json.dumps(payload, sort_keys=True))
-        total = sum(len(v) for _, v in results.values())
     elif args.format == "csv":
         print("suite,n_max,violations")
         for name, (_, violations) in results.items():
             print(f"{name},{args.n_max},{len(violations)}")
-            total += len(violations)
     else:
         for name, (details, violations) in results.items():
             status = "ok" if not violations else f"{len(violations)} VIOLATIONS"
@@ -238,7 +236,6 @@ def cmd_verify(args) -> int:
                 print(f"  {line}")
             for v in violations:
                 print(f"  !! {v}")
-            total += len(violations)
     return 2 if total else 0
 
 

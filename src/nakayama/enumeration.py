@@ -13,6 +13,7 @@ binomials summing to Fibonacci numbers.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -84,11 +85,19 @@ def enumerate_cyclic(n: int, cap: int | None = None):
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    cap = max(2 * n - 1 if cap is None else cap, 2)
+    for first in range(2, _cyclic_cap(n, cap) + 1):
+        yield from _cyclic_with_first(n, first)
+
+
+def _cyclic_cap(n: int, cap: int | None) -> int:
+    return max(2 * n - 1 if cap is None else cap, 2)
+
+
+def _cyclic_with_first(n: int, first: int):
+    """The canonical cyclic series with n vertices whose first (largest) entry is ``first``."""
 
     def is_canonical(c):
         # c starts with its maximum; compare against rotations that also do
-        first = c[0]
         for j in range(1, n):
             if c[j] == first and c[j:] + c[:j] > c:
                 return False
@@ -96,15 +105,14 @@ def enumerate_cyclic(n: int, cap: int | None = None):
 
     def extend(prefix):
         if len(prefix) == n:
-            if prefix[0] >= prefix[-1] - 1 and is_canonical(prefix):
+            if first >= prefix[-1] - 1 and is_canonical(prefix):
                 yield KupischSeries(CYCLIC, prefix)
             return
         # canonical forms start with the maximum entry, so never exceed it
-        for v in range(max(2, prefix[-1] - 1), min(cap, prefix[0]) + 1):
+        for v in range(max(2, prefix[-1] - 1), first + 1):
             yield from extend(prefix + (v,))
 
-    for first in range(2, cap + 1):
-        yield from extend((first,))
+    yield from extend((first,))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +313,20 @@ class _MaximalTally:
 
     def __init__(self, n: int, kind: str):
         self.n, self.kind = n, kind
-        self.by_r, self.classes, self.violations = {}, set(), []
+        self.by_r, self.classes, self.violations = Counter(), set(), []
 
     def add(self, series: KupischSeries, maximal: bool, r: int, chain: bool) -> None:
         if maximal != chain:
             self.violations.append(f"{series}: maximal={maximal} but chain={chain}")
         if maximal:
-            self.by_r[r] = self.by_r.get(r, 0) + 1
+            self.by_r[r] += 1
             self.classes.add(series.c)
+
+    def merge(self, later: "_MaximalTally") -> None:
+        """Append the tally of the enumeration's next stretch."""
+        self.by_r.update(later.by_r)
+        self.classes |= later.classes
+        self.violations += later.violations
 
     def rows(self) -> list:
         n, kind, violations = self.n, self.kind, self.violations
@@ -325,7 +339,7 @@ class _MaximalTally:
                 violations.append(
                     f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}"
                 )
-            maximal = self.by_r.get(r, 0)
+            maximal = self.by_r[r]
             if maximal != len(chains_r):
                 violations.append(
                     f"n={n} r={r} {kind}: {maximal} maximal != {len(chains_r)} chains"

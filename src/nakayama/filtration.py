@@ -99,15 +99,16 @@ class EpsilonStep:
         return sum(k.n for k in self.components)
 
 
-def epsilon(series: KupischSeries) -> EpsilonStep:
+def epsilon(series: KupischSeries, basis: DeltaBasis | None = None) -> EpsilonStep:
     """The syzygy-filtered algebra, via interval counts.
 
     The projective at an interval top t covers consecutive intervals whose
     lengths sum to exactly c_t (its composition interval runs from one
     interval top to a socle vertex); the number of intervals covered is the
-    new projective length at that vertex.
+    new projective length at that vertex.  ``basis``, when given, is
+    ``base_set(series)``.
     """
-    basis = base_set(series)
+    basis = basis or base_set(series)
     c, deltas = series.c, basis.deltas
     entries = []
     for j, d in enumerate(deltas):
@@ -182,8 +183,11 @@ class EpsilonTower:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def epsilon_tower(series: KupischSeries) -> EpsilonTower:
-    """Apply the reduction until reaching a selfinjective or acyclic algebra."""
+def epsilon_tower(series: KupischSeries, basis: DeltaBasis | None = None) -> EpsilonTower:
+    """Apply the reduction until reaching a selfinjective or acyclic algebra.
+
+    ``basis``, when given, is ``base_set(series)``, for the first step.
+    """
     if series.kind != CYCLIC:
         raise NotCyclic(f"tower is defined for cyclic algebras, got {series.kind}")
     steps = []
@@ -191,7 +195,7 @@ def epsilon_tower(series: KupischSeries) -> EpsilonTower:
     while True:
         if current.is_selfinjective:
             return EpsilonTower(tuple(steps), TERMINAL_SELFINJECTIVE)
-        step = epsilon(current)
+        step = epsilon(current, None if steps else basis)
         steps.append(step)
         if not step.is_cyclic:
             return EpsilonTower(tuple(steps), TERMINAL_LINEAR)
@@ -209,8 +213,7 @@ def delta_filtration(
     lengths do not tile it exactly.  Second and higher syzygies always
     decompose; other modules may not.
     """
-    if basis is None:
-        basis = base_set(series)
+    basis = basis or base_set(series)
     check_module(series, m)
     if m.top not in basis.top_vertices:
         raise NotFiltered(f"{m} has top {m.top}, which is not an interval top")

@@ -3,9 +3,10 @@
 Each suite sweeps the full enumeration (cyclic entries capped at 2n-1 by
 default, every linear series) up to a given vertex count and returns a
 list of violation strings; an empty list means the theorem held on every
-instance.  ``run_suites`` runs the requested suites in one sweep per n,
-optionally one n per worker of a process pool; the merge is deterministic,
-so the number of workers never changes any result.
+instance.  ``run_suites`` runs the requested suites in one sweep per n, cut
+into contiguous enumeration shards that a process pool may compute in any
+order; the shards merge in enumeration order, so the number of workers
+never changes any result.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from contextvars import ContextVar
 from functools import cached_property
 
 from .core import CYCLIC, LINEAR, UniserialModule, _syzygy_step, kupisch_to_relations
-from .enumeration import _MaximalTally, enumerate_cyclic, enumerate_linear, is_chain, is_maximal
+from .enumeration import (_cyclic_cap, _cyclic_with_first, _MaximalTally, enumerate_linear,
+                          is_chain, is_maximal)
 from .errors import NotFiltered
 from .filtration import TERMINAL_LINEAR, base_set, delta_filtration, epsilon_tower
 from .homology import (
@@ -38,11 +40,14 @@ SUITES = (
 )
 
 
-def _all_algebras(n: int, cap=None):
-    if n >= 1:
-        yield from enumerate_cyclic(n, cap)
-    if n >= 2:
-        yield from enumerate_linear(n)
+def _shards(n: int, cap=None) -> list:
+    """The n-vertex enumeration cut into contiguous shards, in enumeration order.
+
+    A shard is (kind, first): the cyclic series whose first entry is
+    ``first``, or (LINEAR, 0) for all the linear series.
+    """
+    cyclic = [(CYCLIC, first) for first in range(2, _cyclic_cap(n, cap) + 1)] if n >= 1 else []
+    return cyclic + [(LINEAR, 0)] if n >= 2 else cyclic
 
 
 class _Profile:
@@ -54,7 +59,7 @@ class _Profile:
     report = cached_property(lambda self: homology_report(self.series, self.memo))
     relations = cached_property(lambda self: kupisch_to_relations(self.series))
     chain = cached_property(lambda self: is_chain(self.relations))
-    tower = cached_property(lambda self: epsilon_tower(self.series))
+    tower = cached_property(lambda self: epsilon_tower(self.series, self.basis))
     basis = cached_property(lambda self: base_set(self.series))
 
 
@@ -151,35 +156,46 @@ _CHECKS = {  # suite -> (noun for the algebras it checks, predicate)
 }
 
 
+def _sweep_shard(names, n: int, kind: str, first: int):
+    """One shard's raw results: {suite: [algebras checked, violations]} and its census tally."""
+    checks = {name: _CHECKS[name][1] for name in names if name in _CHECKS}
+    found = {name: [0, []] for name in checks}
+    fibonacci, tally = "fibonacci" in names, _MaximalTally(n, kind)
+    for series in _cyclic_with_first(n, first) if kind == CYCLIC else enumerate_linear(n):
+        profile = _Profile(series)
+        for name, predicate in checks.items():
+            violations = predicate(profile)
+            if violations is not None:
+                found[name][0] += 1
+                found[name][1].extend(violations)
+        if fibonacci:
+            tally.add(series, is_maximal(profile.report), profile.relations.r, profile.chain)
+    return found, tally
+
+
 class _Sweep:
     """One pass over the n-vertex algebras giving each named suite's (detail, violations).
 
-    The pass runs when ``results`` is first read, inside the first suite call
-    of a task, so a task whose suites never read it costs nothing.
+    ``shards`` are the raw results of ``_shards(n, cap)`` in order, when a pool
+    computed them; without them the pass runs in this process when ``results``
+    is first read, inside the first suite call, so an unread sweep costs nothing.
     """
 
-    def __init__(self, names, n: int, cap=None):
-        self.names, self.n, self.cap = names, n, cap
+    def __init__(self, names, n: int, cap=None, shards=None):
+        self.names, self.n, self.cap, self.shards = names, n, cap, shards
 
     @cached_property
     def results(self) -> dict:
-        checks = {name: _CHECKS[name][1] for name in self.names if name in _CHECKS}
-        found = {name: [0, []] for name in checks}  # algebras checked, violations
-        fibonacci = "fibonacci" in self.names
-        tallies = {kind: _MaximalTally(self.n, kind) for kind in (CYCLIC, LINEAR)}
-        for series in _all_algebras(self.n, self.cap):
-            profile = _Profile(series)
-            for name, predicate in checks.items():
-                violations = predicate(profile)
-                if violations is not None:
-                    found[name][0] += 1
-                    found[name][1].extend(violations)
-            if fibonacci:
-                tallies[series.kind].add(series, is_maximal(profile.report),
-                                         profile.relations.r, profile.chain)
-        results = {name: (f"{count} {_CHECKS[name][0]}", violations)
-                   for name, (count, violations) in found.items()}
-        if fibonacci:
+        shards = self.shards
+        if shards is None:
+            shards = [_sweep_shard(self.names, self.n, *s) for s in _shards(self.n, self.cap)]
+        results = {name: (f"{sum(found[name][0] for found, _ in shards)} {_CHECKS[name][0]}",
+                          [v for found, _ in shards for v in found[name][1]])
+                   for name in self.names if name in _CHECKS}
+        if "fibonacci" in self.names:
+            tallies = {kind: _MaximalTally(self.n, kind) for kind in (CYCLIC, LINEAR)}
+            for _, tally in shards:
+                tallies[tally.kind].merge(tally)
             totals = [tally.rows()[-1] for tally in tallies.values()]
             results["fibonacci"] = (
                 "; ".join(f"{t.kind} {t.enumerated} (F={t.fibonacci})" for t in totals),
@@ -188,13 +204,13 @@ class _Sweep:
         return results
 
 
-# The sweep that the suites of one run_suites task share.  Suites are called
+# The sweep that the suites share for one n of run_suites.  Suites are called
 # as _SUITE_FUNCTIONS[name](n, cap), so it reaches them through the context.
 _task_sweep = ContextVar("_task_sweep", default=None)
 
 
 def _result(name, n, cap):
-    """The suite's (detail, violations) from the task's shared sweep, or from its own."""
+    """The suite's (detail, violations) from run_suites' shared sweep, or from its own."""
     sweep = _task_sweep.get()
     if sweep is None or name not in sweep.names or (sweep.n, sweep.cap) != (n, cap):
         sweep = _Sweep((name,), n, cap)
@@ -253,22 +269,14 @@ _SUITE_FUNCTIONS = {
 }
 
 
-def _run_task(task):
-    names, n, cap = task
-    token = _task_sweep.set(_Sweep(names, n, cap))
-    try:
-        return n, [_SUITE_FUNCTIONS[name](n, cap) for name in names]
-    finally:
-        _task_sweep.reset(token)
-
-
 def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     """Run the named suites for every n up to n_max, one shared sweep per n.
 
-    Returns {suite: (details-by-n, violations)}.  With ``jobs`` > 1 the
-    sweeps run on a pool of at most one worker per n; results are merged in
-    (suite, n) order regardless of worker scheduling, so the output is
-    identical for any ``jobs``.
+    Returns {suite: (details-by-n, violations)}.  With ``jobs`` > 1 a pool of
+    at most ``jobs`` workers sweeps the shards of every n, largest n and
+    largest first entry first, so the last tasks are small.  This process
+    merges them by (n, kind, first entry) in enumeration order and calls each
+    suite once per n, so the output is identical for any ``jobs``.
     """
     names = list(dict.fromkeys(names))
     if not names:
@@ -278,15 +286,23 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(names, n, cap) for n in range(2, n_max + 1)]
+    ns = range(2, n_max + 1)
+    shards = dict.fromkeys(ns)  # n -> its raw shard results; None sweeps in this process
+    tasks = sorted(((names, n, *shard) for n in ns for shard in _shards(n, cap)),
+                   key=lambda task: (task[1], task[3]), reverse=True)
     if jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            outcomes = pool.map(_run_task, tasks, chunksize=1)
-    else:
-        outcomes = [_run_task(task) for task in tasks]
+            raw = dict(zip((task[1:] for task in tasks),
+                           pool.starmap(_sweep_shard, tasks, chunksize=1)))
+        shards = {n: [raw[(n, *shard)] for shard in _shards(n, cap)] for n in ns}
     merged = {name: ([], []) for name in names}
-    for n, results in outcomes:  # map keeps task order, which is n order
-        for name, (detail, violations) in zip(names, results):
-            merged[name][0].append(f"n={n}: {detail}")
-            merged[name][1].extend(violations)
+    for n in ns:
+        token = _task_sweep.set(_Sweep(names, n, cap, shards[n]))
+        try:
+            for name in names:
+                detail, violations = _SUITE_FUNCTIONS[name](n, cap)
+                merged[name][0].append(f"n={n}: {detail}")
+                merged[name][1].extend(violations)
+        finally:
+            _task_sweep.reset(token)
     return merged

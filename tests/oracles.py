@@ -96,3 +96,27 @@ def brute_force_linear(n: int):
             c[i + 1] >= c[i] - 1 for i in range(n - 1)
         ):
             yield c
+
+
+def burnside_cyclic_classes(n: int, cap=None) -> int:
+    """Rotation classes of cyclic series with n entries in 2..cap, counted without listing them.
+
+    The cap defaults to 2n - 1 and is raised to 2.  A cyclic series is a
+    closed walk of length n in the transfer matrix T[a][b] = [b >= a - 1] on
+    entries 2..cap, and the rotations fixing it form a subgroup of Z/n, so
+    Burnside's lemma gives (1/n) * sum over d | n of phi(n/d) * tr(T^d).
+    """
+    cap = max(2 * n - 1 if cap is None else cap, 2)
+    entries = range(2, cap + 1)
+    step = [[int(b >= a - 1) for b in entries] for a in entries]
+    power, traces = step, {}
+    for d in range(1, n + 1):
+        traces[d] = sum(power[i][i] for i in range(len(step)))
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*step)] for row in power]
+
+    def phi(m):
+        return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+    fixed = sum(phi(n // d) * traces[d] for d in range(1, n + 1) if n % d == 0)
+    assert fixed % n == 0, f"Burnside sum {fixed} is not a multiple of {n}"
+    return fixed // n

@@ -20,7 +20,7 @@ from nakayama import (
 )
 from nakayama.errors import CensusMismatch
 
-from oracles import brute_force_cyclic
+from oracles import brute_force_cyclic, burnside_cyclic_classes
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,18 @@ def test_enumerate_cyclic_covers_every_rotation_class():
         }
         produced = {s.c for s in enumerate_cyclic(n, cap)}
         assert produced == expected
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_burnside_count_matches_the_enumeration(n):
+    for cap in (None, 3, n + 2):
+        assert sum(1 for _ in enumerate_cyclic(n, cap)) == burnside_cyclic_classes(n, cap)
+
+
+def test_burnside_counts_beyond_the_brute_force_range():
+    # the completeness totals for verify sweeps past n = 8
+    counts = {n: burnside_cyclic_classes(n) for n in (8, 9, 10, 11, 12)}
+    assert counts == {8: 8845, 9: 34100, 10: 132556, 11: 514800, 12: 2006030}
 
 
 def canonical_form_of(c):

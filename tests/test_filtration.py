@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
+import nakayama.filtration
 from nakayama import (
     CYCLIC,
     INFINITE,
@@ -113,6 +114,17 @@ def test_tower_examples():
     tower = epsilon_tower(validate(CYCLIC, (2, 2, 2)))
     assert tower.terminal == TERMINAL_SELFINJECTIVE
     assert tower.depth == 0
+
+
+def test_tower_reuses_a_given_base_set(monkeypatch):
+    cases = [(s, epsilon_tower(s), base_set(s)) for s in nonselfinjective_cyclic(5)]
+    seen = []
+    monkeypatch.setattr(nakayama.filtration, "base_set", lambda s: seen.append(s) or base_set(s))
+    for series, tower, basis in cases:
+        seen.clear()
+        assert epsilon(series, basis) == tower.steps[0]
+        assert epsilon_tower(series, basis) == tower
+        assert series not in seen  # later steps reduce algebras with fewer vertices
 
 
 def test_tower_rejects_linear():

@@ -1,12 +1,24 @@
 import multiprocessing
+from collections import Counter
 
 import pytest
 
 import nakayama.enumeration
+import nakayama.filtration
 import nakayama.homology
 import nakayama.verify
-from nakayama import INFINITE, enumerate_cyclic, enumerate_linear, epsilon_tower, homology_report
-from nakayama.verify import SUITES, run_suites, _SUITE_FUNCTIONS
+from nakayama import (
+    CYCLIC,
+    INFINITE,
+    LINEAR,
+    base_set,
+    enumerate_cyclic,
+    enumerate_linear,
+    epsilon_tower,
+    homology_report,
+)
+from nakayama.enumeration import _cyclic_with_first
+from nakayama.verify import SUITES, run_suites, _shards, _SUITE_FUNCTIONS
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -42,8 +54,20 @@ def test_run_suites_rejects_an_empty_list_and_jobs_below_one():
         run_suites(["chain"], 3, jobs=0)
 
 
-def test_pool_has_at_most_one_worker_per_n(monkeypatch):
-    sizes = []
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shards_concatenate_to_the_enumeration(n):
+    for cap in (None, 1, 2, 3, n, 2 * n + 2):
+        shards = _shards(n, cap)
+        cyclic = [first for kind, first in shards if kind == CYCLIC]
+        assert [kind for kind, _ in shards] == [CYCLIC] * len(cyclic) + [LINEAR] * (n >= 2)
+        concatenated = [s for first in cyclic for s in _cyclic_with_first(n, first)]
+        assert concatenated == list(enumerate_cyclic(n, cap))
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces multiprocessing.Pool; returns the pool sizes and the shard keys run."""
+    sizes, ran = [], []
 
     class RecordingPool:
         """Stands in for multiprocessing.Pool and runs the tasks in this process."""
@@ -57,14 +81,40 @@ def test_pool_has_at_most_one_worker_per_n(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(task) for task in tasks]
+        def starmap(self, fn, tasks, chunksize=1):
+            ran.append([task[1:] for task in tasks])
+            return [fn(*task) for task in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    expected = run_suites(["chain"], 4)
-    assert run_suites(["chain"], 4, jobs=64) == expected
-    assert run_suites(["chain"], 4, jobs=2) == expected
-    assert sizes == [3, 2]  # n = 2, 3, 4
+    return sizes, ran
+
+
+def test_pool_runs_each_shard_once(recording_pool):
+    sizes, ran = recording_pool
+    shards = [(n, *shard) for n in range(2, 5) for shard in _shards(n)]
+    expected = run_suites(SUITES, 4)
+    assert run_suites(SUITES, 4, jobs=64) == expected
+    assert run_suites(SUITES, 4, jobs=2) == expected
+    assert sizes == [len(shards), 2]
+    for tasks in ran:
+        assert sorted(tasks) == sorted(shards)  # every shard exactly once
+        # largest n first, and within an n the largest first entry first
+        assert tasks == sorted(tasks, key=lambda key: (key[0], key[2]), reverse=True)
+
+
+def test_pooled_violations_keep_enumeration_order(recording_pool, monkeypatch):
+    # every algebra violates, so the merged list spells out the sweep order
+    monkeypatch.setitem(nakayama.verify._CHECKS, "chain", ("algebras", lambda p: [str(p.series)]))
+    swept = [str(s) for n in range(2, 6) for s in (*enumerate_cyclic(n), *enumerate_linear(n))]
+    for jobs in (1, 2):
+        _, violations = run_suites(["chain"], 5, jobs=jobs)["chain"]
+        assert violations == swept
+    assert len(recording_pool[1]) == 1
+
+
+@pytest.mark.parametrize("cap, jobs", [(None, 2), (4, 3)])
+def test_real_pool_equals_serial(cap, jobs):
+    assert run_suites(SUITES, 6, cap=cap, jobs=jobs) == run_suites(SUITES, 6, cap=cap)
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +149,16 @@ def test_one_homology_report_per_algebra(monkeypatch):
         monkeypatch.setattr(module, "homology_report", counted)
     run_suites(SUITES, 5)
     assert 0 < len(calls) <= swept + components
+
+
+def test_one_base_set_per_algebra(monkeypatch):
+    calls = []  # keeps every argument alive, so ids are not reused
+
+    def counted(series):
+        calls.append(series)
+        return base_set(series)
+
+    for module in (nakayama.verify, nakayama.filtration):
+        monkeypatch.setattr(module, "base_set", counted)
+    run_suites(SUITES, 5)
+    assert calls and max(Counter(map(id, calls)).values()) == 1
