@@ -4,11 +4,13 @@ For a cyclic non-selfinjective algebra the socles of the indecomposable
 projectives single out a set of vertices; the stretches of the cycle
 between consecutive socle vertices are uniserial interval modules that
 tile the cycle (the base set).  Second and higher syzygies decompose
-uniquely into consecutive intervals, and counting intervals instead of
-composition factors yields a smaller Nakayama algebra whose module
-category models the interval-filtered modules.  Iterating the construction
-terminates in a selfinjective algebra exactly when the global dimension is
-infinite, and in an acyclic one exactly when it is finite.
+uniquely into consecutive intervals; as the intervals tile the cycle, a
+module does exactly when its top is an interval top and its socle a
+socle vertex.  Counting intervals instead of composition factors yields
+a smaller Nakayama algebra whose module category models the
+interval-filtered modules.  Iterating the construction terminates in a
+selfinjective algebra exactly when the global dimension is infinite, and
+in an acyclic one exactly when it is finite.
 
 The reduced algebra is computed combinatorially from the tiling; vertex j
 of the result corresponds to interval j, in the cyclic order of socle
@@ -209,17 +211,25 @@ def delta_filtration(
 
     Returns the interval indices (positions into ``basis.deltas``), top
     factor first; wraps around the tiling as often as the module is long.
-    Raises NotFiltered when the module's top is not an interval top or the
-    lengths do not tile it exactly.  Second and higher syzygies always
-    decompose; other modules may not.
+    Raises NotFiltered when the module's top is not an interval top or its
+    socle (last composition factor) is not a socle vertex; the intervals
+    tile the cycle, so that is exactly the tiling.  Second and higher
+    syzygies always decompose; other modules may not.
     """
     basis = basis or base_set(series)
     check_module(series, m)
-    if m.top not in basis.top_vertices:
-        raise NotFiltered(f"{m} has top {m.top}, which is not an interval top")
+    if reason := _untiled(basis, series.n, m.top, m.length):
+        raise NotFiltered(reason)
     j = basis.top_vertices.index(m.top)
     count = _interval_count(basis.deltas, series.n, j, m.length)
-    if count is None:
-        raise NotFiltered(f"{m} is not tiled exactly by consecutive intervals")
     r = len(basis.deltas)
     return [(j + k) % r for k in range(count)]
+
+
+def _untiled(basis: DeltaBasis, n: int, top: int, length: int):
+    """Why M(top, length) is not tiled by consecutive intervals of ``basis``, or None."""
+    if top not in basis.top_vertices:
+        return f"{UniserialModule(top, length)} has top {top}, which is not an interval top"
+    if (top + length - 2) % n + 1 not in basis.socle_vertices:
+        return f"{UniserialModule(top, length)} is not tiled exactly by consecutive intervals"
+    return None

@@ -85,6 +85,26 @@ def pd_simples(series: KupischSeries, memo=None) -> tuple:
     return tuple(_pd_walk(c, cyclic, v, 1, memo) for v in range(1, series.n + 1))
 
 
+def _module_table(series: KupischSeries) -> list:
+    """Every module's [syzygy as (top, length), or None; pd] at [top - 1][length - 1]."""
+    c, cyclic = series.c, series.kind == CYCLIC
+    table = [[[_syzygy_step(c, cyclic, top, length), None] for length in range(1, ct)]
+             + [[None, 0]] for top, ct in enumerate(c, 1)]
+    for row in table:
+        for entry in row:
+            path = []
+            while entry[1] is None:
+                path.append(entry)
+                entry[1] = -1  # on the current path
+                top, length = entry[0]
+                entry = table[top - 1][length - 1]
+            base = INFINITE if entry[1] == -1 else entry[1]
+            for entry in reversed(path):
+                base = base + 1  # INFINITE + 1 == INFINITE
+                entry[1] = base
+    return table
+
+
 def all_modules(series: KupischSeries):
     """Every uniserial module of the algebra."""
     for v in range(1, series.n + 1):
@@ -149,9 +169,9 @@ class HomologyReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def homology_report(series: KupischSeries, memo=None) -> HomologyReport:
-    """Compute the full report for a connected Nakayama algebra (``memo`` as in pd_simples)."""
-    pds = pd_simples(series, memo)
+def homology_report(series: KupischSeries, table=None) -> HomologyReport:
+    """The full report for a connected Nakayama algebra; ``table``: its module table, if built."""
+    pds = pd_simples(series) if table is None else tuple(row[0][1] for row in table)
     gldim = max(pds)
     o_set = tuple(sorted({p for p in pds if p != INFINITE}))
     a_min = o_set[0] if o_set else None
@@ -185,39 +205,38 @@ def homology_report(series: KupischSeries, memo=None) -> HomologyReport:
 # Checkable consequences (each returns a list of violations, [] on success)
 # ---------------------------------------------------------------------------
 
-def check_madsen(series: KupischSeries, memo=None) -> list:
+def check_madsen(series: KupischSeries, table=None) -> list:
     """Odd-pd modules attain their pd on a composition factor.
 
     For every uniserial module M of finite odd projective dimension, the
     maximum of the finite pds of its simple composition factors must exist
     and equal pd M.  Returns the violating modules.  M(t, l) adds the factor
     at t + l - 1 to those of M(t, l - 1), so one walk per top keeps the maximum.
+    ``table``: the algebra's ``_module_table``, built here when not given.
     """
-    if memo is None:
-        memo = {}
-    pds = pd_simples(series, memo)
-    c, n, cyclic = series.c, series.n, series.kind == CYCLIC
+    if table is None:
+        table = _module_table(series)
+    n, pds = series.n, [row[0][1] for row in table]
     violations = []
-    for top in range(1, n + 1):
+    for top, row in enumerate(table, 1):
         best = None  # largest finite pd among the factors so far
-        for length in range(1, c[top - 1]):  # projectives have pd 0
+        for length, (_, p) in enumerate(row[:-1], 1):  # projectives have pd 0
             q = pds[(top + length - 2) % n]
             if q != INFINITE and (best is None or q > best):
                 best = q
-            p = _pd_walk(c, cyclic, top, length, memo)
             if p != INFINITE and p % 2 == 1 and p != best:
                 violations.append(UniserialModule(top, length))
     return violations
 
 
-def check_parity_interpolation(series: KupischSeries, memo=None) -> list[str]:
+def check_parity_interpolation(series: KupischSeries, report=None) -> list[str]:
     """Odd values up to gldim are all attained; even values interpolate.
 
     Requires finite global dimension (raises InfiniteGlobalDimension
     otherwise).  Between any two attained even pds every intermediate even
-    value must be attained as well.
+    value must be attained as well.  ``report`` as in ``check_inequalities``.
     """
-    pds = pd_simples(series, memo)
+    pds = (report or homology_report(series)).pd_simple
     if INFINITE in pds:
         raise InfiniteGlobalDimension(f"{series} has infinite global dimension")
     gldim = max(pds)
@@ -235,13 +254,14 @@ def check_parity_interpolation(series: KupischSeries, memo=None) -> list[str]:
 
 
 def check_inequalities(series: KupischSeries, report=None) -> list[str]:
-    """Interval bound, Brown's bound, and the acyclic sink bound.
+    """Interval bound, Brown's bound, the acyclic sink bound and Gustafson's bound.
 
     When the pd values of simples form an interval: gldim <= a + lambda_c
     for every attained c.  When the algebra is quasi-hereditary: Brown's
     gldim <= lambda_1 (linear) or lambda_1 + 1 (cyclic).  Linear algebras
-    additionally satisfy gldim <= n - 1 (one sink).  ``report``: the
-    algebra's report, when already computed.
+    additionally satisfy gldim <= n - 1 (one sink), cyclic ones of finite
+    gldim <= 2n - 2 (Gustafson, Global dimension in serial rings, J. Algebra
+    1985).  ``report``: the algebra's report, when already computed.
     """
     report = report or homology_report(series)
     violations = []
@@ -258,4 +278,6 @@ def check_inequalities(series: KupischSeries, report=None) -> list[str]:
         )
     if series.kind == LINEAR and report.gldim > series.n - 1:
         violations.append(f"{series}: gldim {report.gldim} > n - 1 = {series.n - 1}")
+    if series.kind == CYCLIC and report.gldim != INFINITE and report.gldim > 2 * series.n - 2:
+        violations.append(f"{series}: gldim {report.gldim} > 2n - 2 = {2 * series.n - 2}")
     return violations

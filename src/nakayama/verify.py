@@ -15,13 +15,13 @@ import multiprocessing
 from contextvars import ContextVar
 from functools import cached_property
 
-from .core import CYCLIC, LINEAR, UniserialModule, _syzygy_step, kupisch_to_relations
+from .core import CYCLIC, LINEAR, UniserialModule, kupisch_to_relations
 from .enumeration import (_cyclic_cap, _cyclic_with_first, _MaximalTally, enumerate_linear,
                           is_chain, is_maximal)
-from .errors import NotFiltered
-from .filtration import TERMINAL_LINEAR, base_set, delta_filtration, epsilon_tower
+from .filtration import TERMINAL_LINEAR, _untiled, base_set, epsilon_tower
 from .homology import (
     INFINITE,
+    _module_table,
     check_inequalities,
     check_madsen,
     check_parity_interpolation,
@@ -53,10 +53,12 @@ def _shards(n: int, cap=None) -> list:
 class _Profile:
     """One algebra and what the suites read about it, each computed on first use."""
 
-    def __init__(self, series):
-        self.series, self.memo = series, {}
+    def __init__(self, series, tabled=False):
+        self.series, self.tabled = series, tabled  # tabled: madsen or epsilon reads the table
 
-    report = cached_property(lambda self: homology_report(self.series, self.memo))
+    table = cached_property(lambda self: _module_table(self.series))
+    report = cached_property(  # from the table only when it is built anyway
+        lambda self: homology_report(self.series, self.table if self.tabled else None))
     relations = cached_property(lambda self: kupisch_to_relations(self.series))
     chain = cached_property(lambda self: is_chain(self.relations))
     tower = cached_property(lambda self: epsilon_tower(self.series, self.basis))
@@ -87,13 +89,13 @@ def _brown(profile):
 
 
 def _madsen(profile):
-    return [f"{profile.series}: fails at {m}" for m in check_madsen(profile.series, profile.memo)]
+    return [f"{profile.series}: fails at {m}" for m in check_madsen(profile.series, profile.table)]
 
 
 def _parity(profile):
     if profile.report.gldim == INFINITE:
         return None
-    return check_parity_interpolation(profile.series, profile.memo)
+    return check_parity_interpolation(profile.series, profile.report)
 
 
 def _chain(profile):
@@ -125,23 +127,12 @@ def _epsilon(profile):
             )
     if step.is_cyclic == report.quasi_hereditary:
         violations.append(f"{series}: quasi-heredity disagrees with reduction shape")
-    c, basis = series.c, profile.basis
-    untiled = {}  # second syzygy (top, length) -> its violation, or None when tiled
-    for top in range(1, series.n + 1):
-        for length in range(1, c[top - 1]):  # projectives have no syzygy
-            first = _syzygy_step(c, True, top, length)
-            if first[1] == c[first[0] - 1]:
-                continue
-            second = _syzygy_step(c, True, *first)
-            if second not in untiled:
-                module = UniserialModule(*second)
-                try:
-                    delta_filtration(series, module, basis)
-                    untiled[second] = None
-                except NotFiltered as exc:
-                    untiled[second] = f"{series}: {module} not tiled ({exc})"
-            if untiled[second]:
-                violations.append(untiled[second])
+    table, basis, n = profile.table, profile.basis, series.n
+    for row in table:
+        for first, _ in row[:-1]:  # projectives have no syzygy
+            second = table[first[0] - 1][first[1] - 1][0]
+            if second is not None and (reason := _untiled(basis, n, *second)):
+                violations.append(f"{series}: {UniserialModule(*second)} not tiled ({reason})")
     return violations
 
 
@@ -161,8 +152,9 @@ def _sweep_shard(names, n: int, kind: str, first: int):
     checks = {name: _CHECKS[name][1] for name in names if name in _CHECKS}
     found = {name: [0, []] for name in checks}
     fibonacci, tally = "fibonacci" in names, _MaximalTally(n, kind)
+    tabled = "madsen" in checks or "epsilon" in checks
     for series in _cyclic_with_first(n, first) if kind == CYCLIC else enumerate_linear(n):
-        profile = _Profile(series)
+        profile = _Profile(series, tabled)
         for name, predicate in checks.items():
             violations = predicate(profile)
             if violations is not None:

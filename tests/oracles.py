@@ -55,6 +55,30 @@ def oracle_pd(series: KupischSeries, m: UniserialModule):
         steps += 1
 
 
+def oracle_tiled(series: KupischSeries, m: UniserialModule) -> bool:
+    """Whether m's factors are consecutive base intervals, on explicit vertex tuples.
+
+    The intervals run from just after one projective socle to the next one
+    round the cycle; m is tiled when its vertices equal the concatenation of
+    the intervals that start at the one whose top is m's top.
+    """
+    n = series.n
+    socles = sorted({projective_vertices(series, v)[-1] for v in range(1, n + 1)})
+    intervals = [
+        tuple((prev + k) % n + 1 for k in range((s - prev - 1) % n + 1))
+        for prev, s in zip(socles[-1:] + socles[:-1], socles)
+    ]
+    body = module_vertices(series, m)
+    starts = [j for j, interval in enumerate(intervals) if interval[0] == m.top]
+    if not starts:
+        return False
+    tiles, j = (), starts[0]
+    while len(tiles) < len(body):
+        tiles += intervals[j % len(intervals)]
+        j += 1
+    return tiles == body
+
+
 def oracle_relations(series: KupischSeries):
     """Minimal zero relations found by explicit path-death checking.
 

@@ -21,8 +21,10 @@ from nakayama import (
 )
 from nakayama.errors import NotCyclic, NotFiltered, SelfinjectiveInput
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
+from nakayama.homology import all_modules
 
 from conftest import cyclic_series
+from oracles import oracle_tiled
 
 
 def nonselfinjective_cyclic(n_max, cap=None):
@@ -160,6 +162,30 @@ def test_delta_filtration_wraps():
     # a projective longer than n decomposes by running around the tiling
     s = validate(CYCLIC, (4, 6, 5))
     assert delta_filtration(s, UniserialModule(2, 6)) == [0, 0]
+
+
+@pytest.mark.parametrize("n", range(2, 7))  # n = 1 is selfinjective only
+def test_delta_filtration_agrees_with_the_tiling_oracle(n):
+    # every module, not only second syzygies, with the default cap and cap n + 3
+    untiled = 0
+    for cap in (None, n + 3):
+        for series in enumerate_cyclic(n, cap):
+            if series.is_selfinjective:
+                continue
+            basis = base_set(series)
+            for m in all_modules(series):
+                try:
+                    delta_filtration(series, m, basis)
+                except NotFiltered as exc:
+                    untiled += 1
+                    assert not oracle_tiled(series, m), (series, m)
+                    assert str(exc) in (
+                        f"{m} has top {m.top}, which is not an interval top",
+                        f"{m} is not tiled exactly by consecutive intervals",
+                    )
+                else:
+                    assert oracle_tiled(series, m), (series, m)
+    assert untiled
 
 
 # ---------------------------------------------------------------------------

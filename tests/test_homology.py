@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -23,10 +24,10 @@ from nakayama import (
     validate,
 )
 from nakayama.errors import InfiniteGlobalDimension
-from nakayama.homology import all_modules
+from nakayama.homology import _module_table, all_modules
 
 from conftest import any_series
-from oracles import oracle_pd
+from oracles import oracle_pd, oracle_syzygy
 
 
 def all_algebras(n_max, cap=None):
@@ -73,6 +74,23 @@ def test_pd_memoized_matches_fresh():
         reverse = [projective_dimension(series, m, {}) for m in reversed(modules)]
         assert shared == fresh == again
         assert list(reversed(reverse)) == fresh
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_module_table_matches_the_oracles(n):
+    # every module of every cyclic series (default cap and cap n + 2) and
+    # every linear series: the table's syzygy and pd against explicit kernels
+    algebras = [*enumerate_cyclic(n), *enumerate_cyclic(n, n + 2)]
+    if n >= 2:
+        algebras += enumerate_linear(n)
+    for series in algebras:
+        table = _module_table(series)
+        assert [len(row) for row in table] == list(series.c)
+        for m in all_modules(series):
+            syz, pd = table[m.top - 1][m.length - 1]
+            kernel = oracle_syzygy(series, m)
+            assert syz == (None if kernel is None else (kernel.top, kernel.length)), (series, m)
+            assert pd == oracle_pd(series, m), (series, m)
 
 
 @given(any_series(max_n=5, max_entry=9))
@@ -209,9 +227,11 @@ def test_madsen_running_maximum_matches_definition():
 
 
 def test_madsen_reports_a_module_whose_pd_misses_its_factors():
-    # pd M(1,2) = 5 is injected through the memo; its factors have pd 1
+    # pd M(1,2) = 5 is injected through the module table; its factors have pd 1
     series = validate(LINEAR, (3, 2, 1))
-    found = check_madsen(series, {(1, 2): 5})
+    table = _module_table(series)
+    table[0][1][1] = 5
+    found = check_madsen(series, table)
     assert found == [UniserialModule(1, 2)]
     assert found == _madsen_by_definition(series, {(1, 2): 5})
 
@@ -228,6 +248,20 @@ def test_inequalities_examples():
     assert check_inequalities(validate(CYCLIC, (3, 2, 2))) == []
     assert check_inequalities(validate(LINEAR, (2, 2, 2, 1))) == []
     assert check_inequalities(validate(CYCLIC, (3, 4, 4))) == []  # vacuous case
+
+
+def test_gustafson_guard_reports_gldim_above_2n_minus_2():
+    series = validate(CYCLIC, (3, 4, 4))
+    report = homology_report(series)
+    assert check_inequalities(series, report) == []
+    raised = dataclasses.replace(report, gldim=2 * series.n - 1)
+    assert f"{series}: gldim 5 > 2n - 2 = 4" in check_inequalities(series, raised)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gustafson_bound_is_attained(n):
+    finite = [g for g in (homology_report(s).gldim for s in enumerate_cyclic(n)) if g != INFINITE]
+    assert max(finite) == 2 * n - 2
 
 
 def test_inequalities_equality_attained():

@@ -11,13 +11,18 @@ from nakayama import (
     CYCLIC,
     INFINITE,
     LINEAR,
+    KupischSeries,
     base_set,
     enumerate_cyclic,
     enumerate_linear,
+    delta_filtration,
     epsilon_tower,
     homology_report,
+    syzygy,
 )
 from nakayama.enumeration import _cyclic_with_first
+from nakayama.errors import NotFiltered
+from nakayama.homology import _module_table, all_modules
 from nakayama.verify import SUITES, run_suites, _shards, _SUITE_FUNCTIONS
 
 
@@ -162,3 +167,38 @@ def test_one_base_set_per_algebra(monkeypatch):
         monkeypatch.setattr(module, "base_set", counted)
     run_suites(SUITES, 5)
     assert calls and max(Counter(map(id, calls)).values()) == 1
+
+
+def test_one_module_table_per_algebra_and_none_unread(monkeypatch):
+    calls = []
+
+    def counted(series):
+        calls.append(series)
+        return _module_table(series)
+
+    monkeypatch.setattr(nakayama.verify, "_module_table", counted)
+    run_suites(["sconnected-qh", "brown", "parity", "chain", "fibonacci"], 5)
+    assert calls == []  # these suites read only the simples' pds
+    run_suites(SUITES, 5)
+    swept = sum(1 for n in range(2, 6) for _ in (*enumerate_cyclic(n), *enumerate_linear(n)))
+    assert len(calls) == len(set(map(id, calls))) == swept
+
+
+def test_epsilon_lists_each_module_whose_second_syzygy_is_untiled():
+    # a rotation's base set tiles the wrong cycle: some second syzygies fail it
+    series = KupischSeries(CYCLIC, (4, 3, 3, 3))
+    wrong = base_set(KupischSeries(CYCLIC, (3, 3, 3, 4)))
+    profile = nakayama.verify._Profile(series)
+    profile.tower  # the reduction itself reads the true base set
+    profile.basis = wrong
+    expected = []
+    for m in all_modules(series):
+        first = syzygy(series, m)
+        second = None if first is None else syzygy(series, first)
+        if second is not None:
+            try:
+                delta_filtration(series, second, wrong)
+            except NotFiltered as exc:
+                expected.append(f"{series}: {second} not tiled ({exc})")
+    assert len(expected) == 5
+    assert nakayama.verify._epsilon(profile) == expected
