@@ -22,7 +22,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--cap", type=int, default=None,
-                        help="cyclic entry cap (default 2n-1)")
+                        help="cyclic entry cap (default 2n-1); below 2n-1 the counts are"
+                             " checked against the chain forms that fit it, not Fibonacci")
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args()
 

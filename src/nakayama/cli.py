@@ -48,7 +48,7 @@ from .core import (
     relations_to_kupisch,
     validate,
 )
-from .enumeration import census, enumerate_cyclic, enumerate_linear, is_maximal
+from .enumeration import enumerate_cyclic, enumerate_linear, is_maximal
 from .errors import InternalError, NakayamaError
 from .filtration import epsilon_tower
 from .homology import INFINITE, homology_report

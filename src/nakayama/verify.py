@@ -1,4 +1,4 @@
-"""Machine verification suites for the structural theorems.
+"""Machine verification suites for the structural theorems, and the census.
 
 Each suite sweeps the full enumeration (cyclic entries capped at 2n-1 by
 default, every linear series) up to a given vertex count and returns a
@@ -6,18 +6,20 @@ list of violation strings; an empty list means the theorem held on every
 instance.  ``run_suites`` runs the requested suites in one sweep per n, cut
 into contiguous enumeration shards that a process pool may compute in any
 order; the shards merge in enumeration order, so the number of workers
-never changes any result.
+never changes any result.  ``_sweep_shard`` is the one loop over the
+algebras: ``census`` is the ``fibonacci`` suite's sweep over one kind,
+returned as its table of counts.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from contextvars import ContextVar
 from functools import cached_property
 
 from .core import CYCLIC, LINEAR, UniserialModule, kupisch_to_relations
-from .enumeration import (_cyclic_cap, _cyclic_with_first, _MaximalTally, enumerate_linear,
-                          is_chain, is_maximal)
+from .enumeration import (CensusTable, _cyclic_cap, _cyclic_with_first, _MaximalTally,
+                          enumerate_linear, is_chain, is_maximal)
+from .errors import CensusMismatch
 from .filtration import TERMINAL_LINEAR, _untiled, base_set, epsilon_tower
 from .homology import (
     INFINITE,
@@ -26,17 +28,6 @@ from .homology import (
     check_madsen,
     check_parity_interpolation,
     homology_report,
-)
-
-SUITES = (
-    "sconnected-qh",
-    "brown",
-    "generalized-inequality",
-    "madsen",
-    "parity",
-    "chain",
-    "fibonacci",
-    "epsilon",
 )
 
 
@@ -185,7 +176,7 @@ class _Sweep:
                           [v for found, _ in shards for v in found[name][1]])
                    for name in self.names if name in _CHECKS}
         if "fibonacci" in self.names:
-            tallies = {kind: _MaximalTally(self.n, kind) for kind in (CYCLIC, LINEAR)}
+            tallies = {kind: _MaximalTally(self.n, kind, self.cap) for kind in (CYCLIC, LINEAR)}
             for _, tally in shards:
                 tallies[tally.kind].merge(tally)
             totals = [tally.rows()[-1] for tally in tallies.values()]
@@ -196,57 +187,72 @@ class _Sweep:
         return results
 
 
-# The sweep that the suites share for one n of run_suites.  Suites are called
-# as _SUITE_FUNCTIONS[name](n, cap), so it reaches them through the context.
-_task_sweep = ContextVar("_task_sweep", default=None)
+def census(ns, kind: str, cap: "int | None" = None, strict: bool = False) -> CensusTable:
+    """Count maximal-global-dimension classes per n and cross-check all routes.
+
+    For each n the ``fibonacci`` suite's sweep over the shards of ``kind``
+    gives the brute-force count.  Per relation count r it must agree with the
+    chain systems and the closed-form binomials, its canonical forms must be
+    those of the chain systems, maximal iff chain must hold per algebra, and
+    the total must be F_{2n-2} (cyclic) or F_{2n-3} (linear); a cyclic ``cap``
+    below 2n-1 is compared as ``_MaximalTally`` says.  The homology property
+    theorems (Madsen, parity, the inequalities) are left to ``nakayama
+    verify``.  Disagreements are recorded in the rows' ``violations``; with
+    ``strict`` they raise CensusMismatch instead.
+    """
+    rows = []
+    for n in ns:
+        if n < 2:
+            raise ValueError(f"census needs n >= 2, got {n}")
+        tally = _MaximalTally(n, kind, cap)
+        for shard_kind, first in _shards(n, cap):
+            if shard_kind == kind:
+                tally.merge(_sweep_shard(("fibonacci",), n, kind, first)[1])
+        rows.extend(tally.rows())
+    table = CensusTable(kind, tuple(rows))
+    if strict and table.violations:
+        raise CensusMismatch(table.violations)
+    return table
 
 
-def _result(name, n, cap):
-    """The suite's (detail, violations) from run_suites' shared sweep, or from its own."""
-    sweep = _task_sweep.get()
-    if sweep is None or name not in sweep.names or (sweep.n, sweep.cap) != (n, cap):
-        sweep = _Sweep((name,), n, cap)
-    return sweep.results[name]
-
-
-def suite_sconnected_qh(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_sconnected_qh(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """S-connected iff quasi-hereditary, on every connected non-semisimple algebra."""
-    return _result("sconnected-qh", n, cap)
+    return (sweep or _Sweep(("sconnected-qh",), n, cap)).results["sconnected-qh"]
 
 
-def suite_brown(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_brown(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic)."""
-    return _result("brown", n, cap)
+    return (sweep or _Sweep(("brown",), n, cap)).results["brown"]
 
 
-def suite_generalized_inequality(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_generalized_inequality(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """gldim <= a + lambda_c for every attained c, plus the linear sink bound."""
-    return _result("generalized-inequality", n, cap)
+    return (sweep or _Sweep(("generalized-inequality",), n, cap)).results["generalized-inequality"]
 
 
-def suite_madsen(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_madsen(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """Odd-pd modules attain their pd on a composition factor."""
-    return _result("madsen", n, cap)
+    return (sweep or _Sweep(("madsen",), n, cap)).results["madsen"]
 
 
-def suite_parity(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_parity(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """Odd attainment and even interpolation of simple pd values."""
-    return _result("parity", n, cap)
+    return (sweep or _Sweep(("parity",), n, cap)).results["parity"]
 
 
-def suite_chain(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_chain(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """Maximal global dimension iff the defining relations form a chain."""
-    return _result("chain", n, cap)
+    return (sweep or _Sweep(("chain",), n, cap)).results["chain"]
 
 
-def suite_fibonacci(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_fibonacci(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """Census counts match the Fibonacci values, all three routes agreeing."""
-    return _result("fibonacci", n, cap)
+    return (sweep or _Sweep(("fibonacci",), n, cap)).results["fibonacci"]
 
 
-def suite_epsilon(n: int, cap=None) -> tuple[str, list[str]]:
+def suite_epsilon(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
     """Tower terminal, dimension drop by two, and second-syzygy tiling."""
-    return _result("epsilon", n, cap)
+    return (sweep or _Sweep(("epsilon",), n, cap)).results["epsilon"]
 
 
 _SUITE_FUNCTIONS = {
@@ -259,6 +265,7 @@ _SUITE_FUNCTIONS = {
     "fibonacci": suite_fibonacci,
     "epsilon": suite_epsilon,
 }
+SUITES = tuple(_SUITE_FUNCTIONS)
 
 
 def run_suites(names, n_max: int, cap=None, jobs: int = 1):
@@ -289,12 +296,9 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
         shards = {n: [raw[(n, *shard)] for shard in _shards(n, cap)] for n in ns}
     merged = {name: ([], []) for name in names}
     for n in ns:
-        token = _task_sweep.set(_Sweep(names, n, cap, shards[n]))
-        try:
-            for name in names:
-                detail, violations = _SUITE_FUNCTIONS[name](n, cap)
-                merged[name][0].append(f"n={n}: {detail}")
-                merged[name][1].extend(violations)
-        finally:
-            _task_sweep.reset(token)
+        sweep = _Sweep(names, n, cap, shards[n])
+        for name in names:
+            detail, violations = _SUITE_FUNCTIONS[name](n, cap, sweep)
+            merged[name][0].append(f"n={n}: {detail}")
+            merged[name][1].extend(violations)
     return merged

@@ -142,13 +142,20 @@ def test_verify_unknown_theorem_exits_1(capsys):
 
 
 def test_verify_violation_exits_2(capsys, monkeypatch):
-    def broken(n, cap=None):
-        return "forced", ["fake counterexample [9,9]"]
+    def broken(profile):
+        return ["fake counterexample [9,9]"]
 
-    monkeypatch.setitem(verify_mod._SUITE_FUNCTIONS, "brown", broken)
+    monkeypatch.setitem(verify_mod._CHECKS, "brown", ("algebras", broken))
     code, out, _ = run(capsys, "verify", "--theorems", "brown", "--n-max", "3")
     assert code == 2
     assert "fake counterexample [9,9]" in out
+
+
+def test_verify_fibonacci_below_the_default_cap_exits_0(capsys):
+    code, out, _ = run(capsys, "verify", "--theorems", "fibonacci", "--n-max", "5",
+                       "--cap", "4")
+    assert code == 0
+    assert "n=5: cyclic 7 (F=21); linear 13 (F=13)" in out
 
 
 @pytest.mark.parametrize("theorems", [",", ""])

@@ -4,6 +4,7 @@ import pytest
 
 from nakayama import (
     CYCLIC,
+    INFINITE,
     LINEAR,
     RelationSystem,
     canonical_form,
@@ -18,6 +19,7 @@ from nakayama import (
     is_maximal,
     kupisch_to_relations,
 )
+from nakayama.enumeration import _MaximalTally
 from nakayama.errors import CensusMismatch
 
 from oracles import brute_force_cyclic, burnside_cyclic_classes
@@ -223,6 +225,39 @@ def test_census_strict_mode_passes_clean():
     census([3], CYCLIC, strict=True)
     with pytest.raises(CensusMismatch):
         raise CensusMismatch(["fake violation"])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_census_below_and_above_the_default_cap(n):
+    for cap in (None, 4, 2 * n + 3):
+        assert census([n], CYCLIC, cap).violations == [], cap
+    # below 2n - 1 the capped count is the chain forms that fit, Fibonacci unchecked
+    capped = {s.c for s in enumerate_cyclic(n, 4) if is_maximal(homology_report(s))}
+    forms = {ch.to_kupisch().c for r in range(1, n) for ch in enumerate_chains(n, r, CYCLIC)}
+    fitting = {c for c in forms if max(c) <= 4}
+    assert capped == fitting
+    assert census([n], CYCLIC, 4).counts() == {n: len(fitting)}
+
+
+def test_capped_tally_still_reports_missing_algebras():
+    rows = _MaximalTally(4, CYCLIC, 4).rows()  # fed no algebra at all
+    assert rows[-1].violations == (
+        "n=4 r=2 cyclic: 0 maximal != 3 chains",
+        "n=4 r=3 cyclic: 0 maximal != 1 chains",
+        "n=4 cyclic: chain/maximal sets differ at"
+        " [(3, 2, 2, 2), (4, 3, 2, 2), (4, 3, 2, 3), (4, 3, 3, 2)]",
+    )  # and no Fibonacci total: cap 4 < 2n - 1 leaves (5, 4, 3, 2) and more out
+
+
+def test_default_cap_reaches_every_finite_gldim_class():
+    # not proved, pinned: entries up to 3n + 1 add no finite-gldim class past 2n - 1
+    counts = []
+    for n in range(2, 7):
+        finite = [s.c for s in enumerate_cyclic(n, 3 * n + 1)
+                  if homology_report(s).gldim != INFINITE]
+        assert max(map(max, finite)) == 2 * n - 1
+        counts.append(len(finite))
+    assert counts == [1, 4, 15, 52, 190]
 
 
 def test_cap_stability():

@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 
-import nakayama.enumeration
 import nakayama.filtration
 import nakayama.homology
 import nakayama.verify
@@ -13,6 +12,7 @@ from nakayama import (
     LINEAR,
     KupischSeries,
     base_set,
+    census,
     enumerate_cyclic,
     enumerate_linear,
     delta_filtration,
@@ -150,10 +150,25 @@ def test_one_homology_report_per_algebra(monkeypatch):
         calls.append(series)
         return homology_report(series, memo)
 
-    for module in (nakayama.verify, nakayama.homology, nakayama.enumeration):
+    for module in (nakayama.verify, nakayama.homology):
         monkeypatch.setattr(module, "homology_report", counted)
     run_suites(SUITES, 5)
     assert 0 < len(calls) <= swept + components
+
+
+@pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
+def test_census_reports_each_algebra_of_its_kind_once(monkeypatch, kind):
+    calls = []
+
+    def counted(series, table=None):
+        calls.append(series)
+        return homology_report(series, table)
+
+    monkeypatch.setattr(nakayama.verify, "homology_report", counted)
+    census(range(2, 6), kind)
+    swept = [s for n in range(2, 6)
+             for s in (enumerate_cyclic(n) if kind == CYCLIC else enumerate_linear(n))]
+    assert calls == swept
 
 
 def test_one_base_set_per_algebra(monkeypatch):
