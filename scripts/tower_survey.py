@@ -4,7 +4,9 @@
 Tabulates, per vertex count, how deep the iterated syzygy-filtered
 reduction goes before terminating and how often each terminal occurs,
 split by finite versus infinite global dimension.  A quick way to see the
-finite/infinite dichotomy in action.
+finite/infinite dichotomy in action.  Exits 2 when some n has a class
+whose terminal disagrees with its global dimension (linear exactly when
+finite).
 
 Usage:
   python scripts/tower_survey.py --n-max 6
@@ -23,6 +25,7 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=None)
     args = parser.parse_args()
 
+    status = 0
     for n in range(1, args.n_max + 1):
         depths = Counter()
         terminals = Counter()
@@ -42,7 +45,9 @@ def main() -> int:
         term_txt = " ".join(f"{t}:{c}" for t, c in sorted(terminals.items()))
         print(f"n={n}: {total} non-selfinjective classes | {term_txt} | {depth_txt}"
               + (f" | MISMATCHES {mismatches}" if mismatches else ""))
-    return 0
+        if mismatches:
+            status = 2
+    return status
 
 
 if __name__ == "__main__":

@@ -72,13 +72,6 @@ def _kind(args) -> str:
     return CYCLIC if args.cyclic else LINEAR
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("NAKAYAMA_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nakayama", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -215,7 +208,13 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.theorems == "all" else [
         t.strip() for t in args.theorems.split(",") if t.strip()
     ]
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("NAKAYAMA_JOBS") or "1"
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise NakayamaError(f"NAKAYAMA_JOBS must be an integer, got {env!r}") from None
     results = run_suites(names, args.n_max, cap=args.cap, jobs=jobs)
     total = sum(len(v) for _, v in results.values())
     if args.format == "json":

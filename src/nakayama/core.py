@@ -207,9 +207,12 @@ class RelationSystem:
     """An irredundant set of zero relations presenting the algebra.
 
     ``relations`` holds (start, end) arrow-index pairs sorted by start; see
-    the module docstring for the unreduced-end convention.  For the linear
-    kind the formal relation "arrow n vanishes" is implicit and not stored;
-    the conventional relation count ``r`` is stored relations plus one.
+    the module docstring for the unreduced-end convention.  Construction
+    enforces distinct starts in 1..n, lengths of at least 2, linear ends at
+    most n - 1, and no relation inside another (on a cycle, after any
+    shift by a multiple of n), so the ends increase with the starts.  For
+    the linear kind the formal relation "arrow n vanishes" is implicit and
+    not stored; the conventional relation count ``r`` is stored plus one.
     Cyclic selfinjective algebras are presented by n relations of equal
     length and flagged via ``selfinjective``.
     """

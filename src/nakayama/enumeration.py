@@ -138,54 +138,23 @@ class ChainSystem:
         return canonical_form(relations_to_kupisch(self.to_relation_system()))
 
 
-def _chain_conditions(starts, ends, n, last_end) -> bool:
-    """The overlap/separation pattern on already-sorted endpoint lists.
-
-    Consecutive relations must overlap or touch (next start <= previous
-    end) while relations two apart must be disjoint (end < start of the
-    second-next); starts and ends are strictly increasing with ends capped
-    by ``last_end``.
-    """
-    r = len(starts)
-    if any(ends[i] < starts[i] + 1 for i in range(r)):
-        return False
-    if any(starts[i] >= starts[i + 1] for i in range(r - 1)):
-        return False
-    if any(ends[i] >= ends[i + 1] for i in range(r - 1)):
-        return False
-    if starts and (starts[-1] > n or ends[-1] > last_end):
-        return False
-    if any(starts[i + 1] > ends[i] for i in range(r - 1)):
-        return False
-    if any(ends[i] >= starts[i + 2] for i in range(r - 2)):
-        return False
-    return True
-
-
 def is_chain(system: RelationSystem) -> bool:
     """Does some labelling of the algebra present its relations as a chain?
 
-    Cyclic systems are tested in every rotation that pins a relation start
-    at vertex 1 (ends then read as plain integers, required <= n); the
-    rotation exhibiting the chain need not be the one with the smallest
-    start.  Linear systems are tested as stored, with ends < n; a linear
-    system with no stored relations (path algebra) is a chain.
+    In a chain, consecutive relations share an arrow (next start <= end)
+    and relations two apart are disjoint (end < start of the second-next).
+    The ``RelationSystem`` invariants make the ends increase along the
+    starts, also from the last cyclic relation to the first shifted by n.
+    A linear system is tested as stored.  A cyclic one is read once around
+    the cycle, (last, first + n) included: exactly one consecutive pair
+    may share no arrow, and the chain starts after it; pairs two apart
+    across that gap are disjoint anyway.
     """
-    rel = system.relations
-    n = system.n
-    if system.kind == LINEAR:
-        starts = [s for s, _ in rel]
-        ends = [e for _, e in rel]
-        return _chain_conditions(starts, ends, n, n - 1)
-    for s0, _ in rel:
-        shifted = sorted(
-            ((s - s0) % n + 1, (s - s0) % n + 1 + (e - s)) for s, e in rel
-        )
-        starts = [s for s, _ in shifted]
-        ends = [e for _, e in shifted]
-        if starts[0] == 1 and _chain_conditions(starts, ends, n, n):
-            return True
-    return False
+    rel, r, cyclic = system.relations, len(system.relations), system.kind == CYCLIC
+    ring = rel + tuple((s + system.n, e + system.n) for s, e in rel) if cyclic else rel
+    gaps = sum(e < s for (_, e), (s, _) in zip(ring[:r], ring[1:]))
+    return gaps == (1 if cyclic else 0) and all(
+        e < s for (_, e), (s, _) in zip(ring[:r], ring[2:]))
 
 
 def enumerate_chains(n: int, r: int, kind: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from nakayama import CYCLIC, KupischSeries, UniserialModule
+from nakayama import CYCLIC, LINEAR, KupischSeries, RelationSystem, UniserialModule
 
 
 def projective_vertices(series: KupischSeries, top: int) -> tuple[int, ...]:
@@ -103,6 +103,56 @@ def oracle_relations(series: KupischSeries):
         if all(alive((start + k - 1) % n + 1, length - k) for k in range(1, length)):
             relations.append((start, start + length - 1))
     return tuple(relations)
+
+
+def _chain_conditions(starts, ends, n, last_end) -> bool:
+    """The overlap/separation pattern on already-sorted endpoint lists.
+
+    Consecutive relations must overlap or touch (next start <= previous
+    end) while relations two apart must be disjoint (end < start of the
+    second-next); starts and ends are strictly increasing with ends capped
+    by ``last_end``.
+    """
+    r = len(starts)
+    if any(ends[i] < starts[i] + 1 for i in range(r)):
+        return False
+    if any(starts[i] >= starts[i + 1] for i in range(r - 1)):
+        return False
+    if any(ends[i] >= ends[i + 1] for i in range(r - 1)):
+        return False
+    if starts and (starts[-1] > n or ends[-1] > last_end):
+        return False
+    if any(starts[i + 1] > ends[i] for i in range(r - 1)):
+        return False
+    if any(ends[i] >= starts[i + 2] for i in range(r - 2)):
+        return False
+    return True
+
+
+def oracle_is_chain(system: RelationSystem) -> bool:
+    """The chain test by trying every labelling: each rotation, re-sorted.
+
+    Cyclic systems are tested in every rotation that pins a relation start
+    at vertex 1 (ends then read as plain integers, required <= n); the
+    rotation exhibiting the chain need not be the one with the smallest
+    start.  Linear systems are tested as stored, with ends < n; a linear
+    system with no stored relations (path algebra) is a chain.
+    """
+    rel = system.relations
+    n = system.n
+    if system.kind == LINEAR:
+        starts = [s for s, _ in rel]
+        ends = [e for _, e in rel]
+        return _chain_conditions(starts, ends, n, n - 1)
+    for s0, _ in rel:
+        shifted = sorted(
+            ((s - s0) % n + 1, (s - s0) % n + 1 + (e - s)) for s, e in rel
+        )
+        starts = [s for s, _ in shifted]
+        ends = [e for _, e in shifted]
+        if starts[0] == 1 and _chain_conditions(starts, ends, n, n):
+            return True
+    return False
 
 
 def brute_force_cyclic(n: int, cap: int):

@@ -189,6 +189,16 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     assert "fibonacci: ok" in out
 
 
+@pytest.mark.parametrize("value, message", [("0", "jobs must be at least 1, got 0"),
+                                            ("abc", "NAKAYAMA_JOBS must be an integer")])
+def test_verify_rejects_bad_jobs_env(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("NAKAYAMA_JOBS", value)
+    code, out, err = run(capsys, "verify", "--theorems", "fibonacci", "--n-max", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(capsys, "verify", "--theorems", "fibonacci", "--n-max", "3",
                        "--format", "csv")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from nakayama import (
     CYCLIC,
@@ -20,9 +22,9 @@ from nakayama import (
     kupisch_to_relations,
 )
 from nakayama.enumeration import _MaximalTally
-from nakayama.errors import CensusMismatch
+from nakayama.errors import CensusMismatch, NakayamaError
 
-from oracles import brute_force_cyclic, burnside_cyclic_classes
+from oracles import brute_force_cyclic, burnside_cyclic_classes, oracle_is_chain
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,42 @@ def test_is_chain_examples():
     assert not is_chain(RelationSystem(CYCLIC, 4, ((1, 2), (3, 4))))
     assert not is_chain(RelationSystem(CYCLIC, 5, ((1, 3), (2, 4), (3, 5))))
     assert is_chain(RelationSystem(LINEAR, 4, ()))
+    assert is_chain(RelationSystem(CYCLIC, 3, ((1, 3),)))  # one relation of length n
+    assert not is_chain(RelationSystem(CYCLIC, 3, ((1, 4),)))  # length n + 1
+    assert not is_chain(RelationSystem(CYCLIC, 4, ((1, 3), (3, 5))))  # no gap around the cycle
+    assert is_chain(RelationSystem(LINEAR, 5, ((1, 2), (2, 3), (3, 4))))
+
+
+def test_is_chain_matches_rotation_oracle_on_enumerations():
+    systems = [kupisch_to_relations(s) for n in range(1, 9) for s in enumerate_cyclic(n)]
+    systems += [kupisch_to_relations(s)
+                for n in range(1, 7) for s in enumerate_cyclic(n, 3 * n + 1)]
+    systems += [kupisch_to_relations(s) for n in range(2, 11) for s in enumerate_linear(n)]
+    assert [is_chain(r) for r in systems] == [oracle_is_chain(r) for r in systems]
+    assert 0 < sum(map(is_chain, systems)) < len(systems)
+
+
+@st.composite
+def relation_systems(draw, max_n=9):
+    # sorted starts against sorted ends: unsorted ends always nest, so would only be rejected
+    if draw(st.booleans()):
+        kind, n = CYCLIC, draw(st.integers(1, max_n))
+        r, top = draw(st.integers(1, n)), 3 * n
+    else:
+        kind, n = LINEAR, draw(st.integers(2, max_n))
+        r, top = draw(st.integers(0, n - 2)), n
+    starts = draw(st.sets(st.integers(1, n), min_size=r, max_size=r))
+    ends = draw(st.sets(st.integers(2, top), min_size=r, max_size=r))
+    try:
+        return RelationSystem(kind, n, tuple(zip(sorted(starts), sorted(ends))))
+    except NakayamaError:
+        reject()
+
+
+@given(relation_systems())
+@settings(max_examples=500)
+def test_is_chain_matches_rotation_oracle(system):
+    assert is_chain(system) == oracle_is_chain(system)
 
 
 def test_is_chain_needs_rotation_search():

@@ -1,0 +1,43 @@
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tower_survey(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["tower_survey.py", "--n-max", "4"])
+    return load_script("tower_survey")
+
+
+def test_tower_survey_exits_0_when_towers_match(tower_survey, capsys):
+    assert tower_survey.main() == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 4
+    assert "MISMATCHES" not in out
+
+
+def test_tower_survey_exits_2_on_a_mismatch(tower_survey, monkeypatch, capsys):
+    real = tower_survey.epsilon_tower
+
+    def wrong_terminal(series):
+        tower = real(series)
+        if series.c == (3, 2, 2):  # finite gldim, so its true terminal is linear
+            return dataclasses.replace(tower, terminal="selfinjective")
+        return tower
+
+    monkeypatch.setattr(tower_survey, "epsilon_tower", wrong_terminal)
+    assert tower_survey.main() == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [("MISMATCHES 1" in line) for line in lines] == [False, False, True, False]
