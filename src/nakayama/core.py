@@ -245,10 +245,13 @@ class RelationSystem:
                 raise InvalidRelationSystem(
                     f"linear relation ({s},{e}) runs past arrow {self.n - 1}"
                 )
-        for a in rel:
-            for b in rel:
-                if a is not b and _contains(a, b, self.n, self.kind):
-                    raise RedundantRelations(f"relation {a} contains relation {b}")
+        # with sorted distinct starts, no relation contains another (on a cycle, after any
+        # shift by n) exactly when the ends increase, on a cycle up to the first end plus n
+        ends = [e for _, e in rel] + ([rel[0][1] + self.n] if self.kind == CYCLIC else [])
+        for i in range(len(ends) - 1):
+            if ends[i + 1] <= ends[i]:
+                inner = rel[(i + 1) % len(rel)]
+                raise RedundantRelations(f"relation {rel[i]} contains relation {inner}")
         if self.selfinjective:
             lengths = {e - s + 1 for s, e in rel}
             if self.kind != CYCLIC or len(rel) != self.n or len(lengths) != 1:
@@ -263,19 +266,6 @@ class RelationSystem:
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(e - s + 1 for s, e in self.relations)
-
-
-def _contains(p, q, n, kind) -> bool:
-    """Does the arrow interval of relation p contain that of relation q?
-
-    Intervals live on the cycle, so q may sit inside p after shifting by a
-    multiple of n.  On a line only the unshifted comparison applies.
-    """
-    (sp, ep), (sq, eq) = p, q
-    if kind == LINEAR:
-        return sp <= sq and eq <= ep
-    # some shift t has sp <= sq + t*n and eq + t*n <= ep: ceil((sp-sq)/n) <= floor((ep-eq)/n)
-    return -((sp - sq) // -n) <= (ep - eq) // n
 
 
 def kupisch_to_relations(series: KupischSeries) -> RelationSystem:

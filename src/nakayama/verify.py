@@ -20,7 +20,7 @@ from .core import CYCLIC, LINEAR, UniserialModule, kupisch_to_relations
 from .enumeration import (CensusTable, _cyclic_cap, _cyclic_with_first, _MaximalTally,
                           enumerate_linear, is_chain, is_maximal)
 from .errors import CensusMismatch
-from .filtration import TERMINAL_LINEAR, _untiled, base_set, epsilon_tower
+from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _untiled, base_set, epsilon
 from .homology import (
     INFINITE,
     _module_table,
@@ -44,16 +44,26 @@ def _shards(n: int, cap=None) -> list:
 class _Profile:
     """One algebra and what the suites read about it, each computed on first use."""
 
-    def __init__(self, series, tabled=False):
+    def __init__(self, series, tabled=False, reduced=None):
         self.series, self.tabled = series, tabled  # tabled: madsen or epsilon reads the table
+        self.reduced = {} if reduced is None else reduced  # series -> profile, one dict per shard
 
     table = cached_property(lambda self: _module_table(self.series))
     report = cached_property(  # from the table only when it is built anyway
         lambda self: homology_report(self.series, self.table if self.tabled else None))
     relations = cached_property(lambda self: kupisch_to_relations(self.series))
     chain = cached_property(lambda self: is_chain(self.relations))
-    tower = cached_property(lambda self: epsilon_tower(self.series, self.basis))
     basis = cached_property(lambda self: base_set(self.series))
+    step = cached_property(lambda self: epsilon(self.series, self.basis))  # the first reduction
+    terminal = cached_property(lambda self: (  # epsilon_tower(series).terminal, tail shared
+        TERMINAL_SELFINJECTIVE if self.series.is_selfinjective else
+        self.of(self.step.algebra).terminal if self.step.is_cyclic else TERMINAL_LINEAR))
+
+    def of(self, series) -> "_Profile":
+        """The shard's one profile of the reduced algebra ``series``."""
+        if series not in self.reduced:
+            self.reduced[series] = _Profile(series, reduced=self.reduced)
+        return self.reduced[series]
 
 
 # Each predicate returns None to skip an algebra, else its violations.
@@ -99,19 +109,15 @@ def _epsilon(profile):
     if series.kind != CYCLIC or series.is_selfinjective:
         return None
     violations = []
-    report = profile.report
+    report, step, terminal = profile.report, profile.step, profile.terminal
     finite = report.gldim != INFINITE
-    tower = profile.tower
-    if (tower.terminal == TERMINAL_LINEAR) != finite:
-        violations.append(f"{series}: terminal {tower.terminal} but gldim {report.gldim}")
-    step = tower.steps[0]
+    if (terminal == TERMINAL_LINEAR) != finite:
+        violations.append(f"{series}: terminal {terminal} but gldim {report.gldim}")
     if step.vertex_count != profile.relations.r:
         violations.append(f"{series}: reduced algebra has {step.vertex_count}"
                           f" vertices, expected the relation count")
     if finite:
-        reduced_gldim = max(
-            homology_report(component).gldim for component in step.components
-        )
+        reduced_gldim = max(profile.of(component).report.gldim for component in step.components)
         if reduced_gldim + 2 != report.gldim:
             violations.append(
                 f"{series}: gldim {report.gldim} but reduced gldim {reduced_gldim}"
@@ -119,10 +125,13 @@ def _epsilon(profile):
     if step.is_cyclic == report.quasi_hereditary:
         violations.append(f"{series}: quasi-heredity disagrees with reduction shape")
     table, basis, n = profile.table, profile.basis, series.n
+    tops, socles = set(basis.top_vertices), set(basis.socle_vertices)
     for row in table:
-        for first, _ in row[:-1]:  # projectives have no syzygy
-            second = table[first[0] - 1][first[1] - 1][0]
-            if second is not None and (reason := _untiled(basis, n, *second)):
+        for (top, length), _ in row[:-1]:  # projectives have no syzygy
+            second = table[top - 1][length - 1][0]
+            if second is not None and (second[0] not in tops
+                                       or (second[0] + second[1] - 2) % n + 1 not in socles):
+                reason = _untiled(basis, n, *second)
                 violations.append(f"{series}: {UniserialModule(*second)} not tiled ({reason})")
     return violations
 
@@ -143,9 +152,9 @@ def _sweep_shard(names, n: int, kind: str, first: int):
     checks = {name: _CHECKS[name][1] for name in names if name in _CHECKS}
     found = {name: [0, []] for name in checks}
     fibonacci, tally = "fibonacci" in names, _MaximalTally(n, kind)
-    tabled = "madsen" in checks or "epsilon" in checks
+    tabled, reduced = "madsen" in checks or "epsilon" in checks, {}
     for series in _cyclic_with_first(n, first) if kind == CYCLIC else enumerate_linear(n):
-        profile = _Profile(series, tabled)
+        profile = _Profile(series, tabled, reduced)
         for name, predicate in checks.items():
             violations = predicate(profile)
             if violations is not None:
@@ -153,6 +162,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
                 found[name][1].extend(violations)
         if fibonacci:
             tally.add(series, is_maximal(profile.report), profile.relations.r, profile.chain)
+    reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 
 

@@ -155,6 +155,24 @@ def oracle_is_chain(system: RelationSystem) -> bool:
     return False
 
 
+def _contains(p, q, n, kind) -> bool:
+    """Does the arrow interval of relation p contain that of relation q?
+
+    Intervals live on the cycle, so q may sit inside p after shifting by a
+    multiple of n.  On a line only the unshifted comparison applies.
+    """
+    (sp, ep), (sq, eq) = p, q
+    if kind == LINEAR:
+        return sp <= sq and eq <= ep
+    # some shift t has sp <= sq + t*n and eq + t*n <= ep: ceil((sp-sq)/n) <= floor((ep-eq)/n)
+    return -((sp - sq) // -n) <= (ep - eq) // n
+
+
+def oracle_redundant(kind: str, n: int, relations) -> bool:
+    """Does some relation contain another, tried over every ordered pair?"""
+    return any(a is not b and _contains(a, b, n, kind) for a in relations for b in relations)
+
+
 def brute_force_cyclic(n: int, cap: int):
     """Every valid cyclic tuple (all rotations), by unfiltered product scan."""
     for c in itertools.product(range(2, cap + 1), repeat=n):

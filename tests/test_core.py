@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakayama import (
     CYCLIC,
@@ -28,7 +32,13 @@ from nakayama.errors import (
 )
 
 from conftest import any_series, cyclic_series, series_with_module
-from oracles import brute_force_cyclic, brute_force_linear, oracle_relations, oracle_syzygy
+from oracles import (
+    brute_force_cyclic,
+    brute_force_linear,
+    oracle_redundant,
+    oracle_relations,
+    oracle_syzygy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +169,66 @@ def test_loop_algebra_round_trip():
 
 
 def test_relation_system_rejects():
-    with pytest.raises(RedundantRelations):
+    with pytest.raises(RedundantRelations, match=r"\(1, 3\) contains relation \(2, 3\)$"):
         RelationSystem(CYCLIC, 4, ((1, 3), (2, 3)))
-    with pytest.raises(RedundantRelations):
+    with pytest.raises(RedundantRelations, match=r"\(2, 7\) contains relation \(1, 4\)$"):
         # second relation wraps around and swallows a shifted copy of the first
         RelationSystem(CYCLIC, 2, ((1, 4), (2, 7)))
     with pytest.raises(EmptyCyclicSystem):
         RelationSystem(CYCLIC, 3, ())
+
+
+def _accepted(kind, n, relations) -> bool:
+    """Does the constructor accept the system?  It is valid apart from containment."""
+    try:
+        RelationSystem(kind, n, relations)
+    except RedundantRelations:
+        return False
+    return True
+
+
+def _systems(kind, n, max_length):
+    """Every system of distinct starts and lengths 2..max_length (linear ends below n)."""
+    for r in range(kind == CYCLIC, n + 1):
+        for starts in itertools.combinations(range(1, n + 1), r):
+            ends = [range(s + 1, min(s + max_length, n) if kind == LINEAR else s + max_length)
+                    for s in starts]
+            for chosen in itertools.product(*ends):
+                yield tuple(zip(starts, chosen))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
+def test_containment_check_matches_the_pairwise_oracle(kind, n):
+    # lengths up to 3n + 1, but 2n + 1 at n = 5: 3n + 1 there is a million systems
+    verdicts = Counter()
+    for relations in _systems(kind, n, 3 * n + 1 if n < 5 else 2 * n + 1):
+        accepted = _accepted(kind, n, relations)
+        assert accepted != oracle_redundant(kind, n, relations), relations
+        verdicts[accepted] += 1
+    # containment needs two relations: two starts on a cycle, two ends below n - 1 on a line
+    assert verdicts[True] and (verdicts[False] or n < (2 if kind == CYCLIC else 4))
+
+
+@st.composite
+def raw_relations(draw, max_n=9):
+    """(kind, n, relations) with distinct starts and valid lengths, contained or not."""
+    kind = draw(st.sampled_from([CYCLIC, LINEAR]))
+    n = draw(st.integers(1 if kind == CYCLIC else 3, max_n))
+    starts = sorted(draw(st.sets(st.integers(1, n if kind == CYCLIC else n - 2),
+                                 min_size=kind == CYCLIC)))
+    longest = draw(st.integers(2, 3 * n + 1))
+    ends = [draw(st.integers(s + 1, s + longest - 1 if kind == CYCLIC else n - 1))
+            for s in starts]
+    if draw(st.booleans()):  # sorted ends pass far more often, and keep every length in range
+        ends.sort()
+    return kind, n, tuple(zip(starts, ends))
+
+
+@given(raw_relations())
+@settings(max_examples=500)
+def test_containment_check_matches_the_pairwise_oracle_up_to_9(drawn):
+    assert _accepted(*drawn) != oracle_redundant(*drawn)
 
 
 def test_long_relation_round_trip():

@@ -1,5 +1,6 @@
 import multiprocessing
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -16,14 +17,16 @@ from nakayama import (
     enumerate_cyclic,
     enumerate_linear,
     delta_filtration,
+    epsilon,
     epsilon_tower,
     homology_report,
     syzygy,
 )
 from nakayama.enumeration import _cyclic_with_first
 from nakayama.errors import NotFiltered
+from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
 from nakayama.homology import _module_table, all_modules
-from nakayama.verify import SUITES, run_suites, _shards, _SUITE_FUNCTIONS
+from nakayama.verify import SUITES, run_suites, _Profile, _shards, _sweep_shard, _SUITE_FUNCTIONS
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -204,7 +207,7 @@ def test_epsilon_lists_each_module_whose_second_syzygy_is_untiled():
     series = KupischSeries(CYCLIC, (4, 3, 3, 3))
     wrong = base_set(KupischSeries(CYCLIC, (3, 3, 3, 4)))
     profile = nakayama.verify._Profile(series)
-    profile.tower  # the reduction itself reads the true base set
+    profile.step  # the reduction itself reads the true base set
     profile.basis = wrong
     expected = []
     for m in all_modules(series):
@@ -217,3 +220,82 @@ def test_epsilon_lists_each_module_whose_second_syzygy_is_untiled():
                 expected.append(f"{series}: {second} not tiled ({exc})")
     assert len(expected) == 5
     assert nakayama.verify._epsilon(profile) == expected
+
+
+def _cyclic_shards(n_max):
+    """(n, first entry, non-selfinjective series) of every cyclic shard up to n_max."""
+    for n in range(1, n_max + 1):
+        for kind, first in _shards(n):
+            if kind == CYCLIC:
+                yield n, first, [s for s in _cyclic_with_first(n, first) if not s.is_selfinjective]
+
+
+def test_shard_profiles_give_the_tower_terminal_and_the_reduced_gldim():
+    for _, _, swept in _cyclic_shards(7):
+        reduced = {}  # one shard's reduced profiles
+        for series in swept:
+            profile = _Profile(series, reduced=reduced)
+            assert profile.terminal == epsilon_tower(series).terminal, series
+            shared = [profile.of(k).report.gldim for k in profile.step.components]
+            assert max(shared) == max(homology_report(k).gldim for k in epsilon(series).components)
+
+
+def test_a_wrong_reduced_terminal_is_reported_for_every_algebra_reaching_it(monkeypatch):
+    target = KupischSeries(CYCLIC, (2, 3))
+    flip = {TERMINAL_LINEAR: TERMINAL_SELFINJECTIVE, TERMINAL_SELFINJECTIVE: TERMINAL_LINEAR}
+    true_terminal = _Profile.terminal.func
+    wrong = cached_property(
+        lambda p: flip[true_terminal(p)] if p.series == target else true_terminal(p))
+    wrong.__set_name__(_Profile, "terminal")
+    monkeypatch.setattr(_Profile, "terminal", wrong)
+    expected = []
+    for _, _, swept in _cyclic_shards(6):
+        for series in swept:
+            tower = epsilon_tower(series)
+            if any(step.is_cyclic and step.algebra == target for step in tower.steps):
+                gldim = homology_report(series).gldim
+                expected.append(f"{series}: terminal {flip[tower.terminal]} but gldim {gldim}")
+    # far more algebras than shards reach it, so most read the stored terminal
+    assert len(expected) > 2 * sum(1 for _ in _cyclic_shards(6))
+    assert run_suites(["epsilon"], 6)["epsilon"][1] == expected
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The series that ``verify`` reduces, in call order."""
+    calls = []
+
+    def counted(series, basis=None):
+        calls.append(series)
+        return epsilon(series, basis)
+
+    monkeypatch.setattr(nakayama.verify, "epsilon", counted)
+    return calls
+
+
+def test_each_reduced_algebra_is_reduced_and_reported_once_per_shard(monkeypatch, reductions):
+    reports = []
+
+    def counted(series, table=None):
+        reports.append(series)
+        return homology_report(series, table)
+
+    monkeypatch.setattr(nakayama.verify, "homology_report", counted)
+    saved = 0
+    for n, first, swept in _cyclic_shards(6):
+        del reductions[:], reports[:]
+        _sweep_shard(SUITES, n, CYCLIC, first)
+        assert max(Counter(reductions).values(), default=1) == 1
+        assert max(Counter(reports).values()) == 1
+        saved += sum(epsilon_tower(s).depth for s in swept) - len(reductions)
+    assert saved > 0  # the towers share their tails
+
+
+def test_a_shard_swept_again_does_the_same_work(reductions):
+    once = _sweep_shard(SUITES, 6, CYCLIC, 5)
+    work = len(reductions)
+    _sweep_shard(SUITES, 6, CYCLIC, 7)
+    del reductions[:]
+    again = _sweep_shard(SUITES, 6, CYCLIC, 5)
+    assert len(reductions) == work  # nothing reduced before is remembered
+    assert once[0] == again[0] and vars(once[1]) == vars(again[1])
