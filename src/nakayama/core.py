@@ -24,6 +24,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import (
     BadTail,
@@ -49,14 +50,15 @@ class KupischSeries:
     """A connected Nakayama algebra, given by its vector of projective lengths.
 
     Construction validates the defining constraints and raises
-    ``StepViolation`` / ``ShortProjective`` / ``BadTail`` on invalid input.
+    ``StepViolation`` / ``ShortProjective`` / ``BadTail`` on invalid input,
+    and TypeError on an entry that is not an integer (a float or a string).
     """
 
     kind: str
     c: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
+        object.__setattr__(self, "c", tuple(map(index, self.c)))
         if self.kind not in (CYCLIC, LINEAR):
             raise ValueError(f"kind must be {CYCLIC!r} or {LINEAR!r}, got {self.kind!r}")
         c = self.c
@@ -208,13 +210,13 @@ class RelationSystem:
 
     ``relations`` holds (start, end) arrow-index pairs sorted by start; see
     the module docstring for the unreduced-end convention.  Construction
-    enforces distinct starts in 1..n, lengths of at least 2, linear ends at
-    most n - 1, and no relation inside another (on a cycle, after any
-    shift by a multiple of n), so the ends increase with the starts.  For
-    the linear kind the formal relation "arrow n vanishes" is implicit and
-    not stored; the conventional relation count ``r`` is stored plus one.
-    Cyclic selfinjective algebras are presented by n relations of equal
-    length and flagged via ``selfinjective``.
+    enforces integer endpoints (TypeError otherwise), distinct starts in
+    1..n, lengths of at least 2, linear ends at most n - 1, and no relation
+    inside another (on a cycle, after any shift by a multiple of n), so the
+    ends increase with the starts.  For the linear kind the formal relation
+    "arrow n vanishes" is implicit and not stored; the conventional relation
+    count ``r`` is stored plus one.  Cyclic selfinjective algebras are
+    presented by n relations of equal length and flagged via ``selfinjective``.
     """
 
     kind: str
@@ -224,7 +226,7 @@ class RelationSystem:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "relations", tuple(sorted((int(s), int(e)) for s, e in self.relations))
+            self, "relations", tuple(sorted((index(s), index(e)) for s, e in self.relations))
         )
         if self.kind not in (CYCLIC, LINEAR):
             raise ValueError(f"kind must be {CYCLIC!r} or {LINEAR!r}, got {self.kind!r}")
@@ -285,28 +287,21 @@ def kupisch_to_relations(series: KupischSeries) -> RelationSystem:
 
 
 def relations_to_kupisch(system: RelationSystem) -> KupischSeries:
-    """Projective lengths determined by the first relation at or after each vertex.
+    """Projective lengths in one backward walk along the quiver.
 
     Walking forward from v, the first zero path that completes is the one
     belonging to the first relation start s at or after v (irredundancy
-    makes later relations finish later), so c_v = dist(v, s) + length.
-    Linear vertices past the last start run freely to the sink.
+    makes later relations finish later).  So a start has c_s = its length,
+    and any other vertex meets the same relation as v + 1, one arrow further
+    away: c_v = c_{v+1} + 1.  A line's walk begins at the sink with
+    c_n = 1; a cycle's goes once round, backwards from its last start.
     """
-    n = system.n
-    starts = [s for s, _ in system.relations]
-    length = {s: e - s + 1 for s, e in system.relations}
-    c = []
-    for v in range(1, n + 1):
-        if system.kind == CYCLIC:
-            dist, s = min(((s - v) % n, s) for s in starts)
-            c.append(dist + length[s])
-        else:
-            ahead = [s for s in starts if s >= v]
-            if ahead:
-                s = ahead[0]
-                c.append(s - v + length[s])
-            else:
-                c.append(n - v + 1)
+    n, length = system.n, {s: e - s + 1 for s, e in system.relations}
+    origin = system.relations[-1][0] if system.kind == CYCLIC else n
+    c, ahead = [0] * n, 0  # ahead: c of the vertex after v (0 past the sink)
+    for step in range(n):
+        v = (origin - 1 - step) % n + 1
+        ahead = c[v - 1] = length.get(v, ahead + 1)
     return KupischSeries(system.kind, tuple(c))
 
 

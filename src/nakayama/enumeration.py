@@ -281,9 +281,9 @@ class _MaximalTally:
         self.n, self.kind, self.cap = n, kind, _cyclic_cap(n, cap if kind == CYCLIC else None)
         self.by_r, self.classes, self.violations = Counter(), set(), []
 
-    def add(self, series: KupischSeries, maximal: bool, r: int, chain: bool) -> None:
-        if maximal != chain:
-            self.violations.append(f"{series}: maximal={maximal} but chain={chain}")
+    def add(self, series: KupischSeries, maximal: bool, r: int, chain_violations: list) -> None:
+        """Count ``series`` if maximal; the chain suite's violations on it join the total row."""
+        self.violations += chain_violations
         if maximal:
             self.by_r[r] += 1
             self.classes.add(series.c)

@@ -185,11 +185,8 @@ class EpsilonTower:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def epsilon_tower(series: KupischSeries, basis: DeltaBasis | None = None) -> EpsilonTower:
-    """Apply the reduction until reaching a selfinjective or acyclic algebra.
-
-    ``basis``, when given, is ``base_set(series)``, for the first step.
-    """
+def epsilon_tower(series: KupischSeries) -> EpsilonTower:
+    """Apply the reduction until reaching a selfinjective or acyclic algebra."""
     if series.kind != CYCLIC:
         raise NotCyclic(f"tower is defined for cyclic algebras, got {series.kind}")
     steps = []
@@ -197,7 +194,7 @@ def epsilon_tower(series: KupischSeries, basis: DeltaBasis | None = None) -> Eps
     while True:
         if current.is_selfinjective:
             return EpsilonTower(tuple(steps), TERMINAL_SELFINJECTIVE)
-        step = epsilon(current, None if steps else basis)
+        step = epsilon(current)
         steps.append(step)
         if not step.is_cyclic:
             return EpsilonTower(tuple(steps), TERMINAL_LINEAR)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -20,26 +21,10 @@ from .core import (
     UniserialModule,
     _syzygy_step,
     check_module,
-    syzygy,
 )
 from .errors import InfiniteGlobalDimension, InternalError
 
 INFINITE = math.inf
-
-
-def syzygy_orbit(series: KupischSeries, m: UniserialModule):
-    """Yield m, its syzygy, its second syzygy, ... .
-
-    Stops after yielding a projective module, or just before a state would
-    repeat (the orbit is then periodic and every pd along it is infinite).
-    Never yields more than sum(c) modules.
-    """
-    check_module(series, m)
-    seen = set()
-    while m is not None and m not in seen:
-        seen.add(m)
-        yield m
-        m = syzygy(series, m)
 
 
 def projective_dimension(series: KupischSeries, m: UniserialModule, memo=None):
@@ -175,7 +160,8 @@ def homology_report(series: KupischSeries, table=None) -> HomologyReport:
     gldim = max(pds)
     o_set = tuple(sorted({p for p in pds if p != INFINITE}))
     a_min = o_set[0] if o_set else None
-    lam = {cc: sum(1 for p in pds if p != cc) for cc in o_set}
+    counts = Counter(pds)
+    lam = {cc: series.n - counts[cc] for cc in o_set}
     if gldim == INFINITE:
         s_connected = None
     else:

@@ -161,7 +161,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
                 found[name][0] += 1
                 found[name][1].extend(violations)
         if fibonacci:
-            tally.add(series, is_maximal(profile.report), profile.relations.r, profile.chain)
+            tally.add(series, is_maximal(profile.report), profile.relations.r, _chain(profile))
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 

@@ -3,7 +3,8 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from nakayama import CYCLIC, LINEAR, KupischSeries, UniserialModule
+from nakayama import (CYCLIC, LINEAR, KupischSeries, UniserialModule, enumerate_cyclic,
+                      enumerate_linear)
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -43,3 +44,17 @@ def series_with_module(draw, max_n=6, max_entry=9):
     top = draw(st.integers(min_value=1, max_value=series.n))
     length = draw(st.integers(min_value=1, max_value=series.c[top - 1]))
     return series, UniserialModule(top, length)
+
+
+def enumerated_series():
+    """Every enumerated algebra on which the one-pass routes meet their oracles.
+
+    Cyclic classes with n <= 8 at the default cap, and with n <= 6 up to
+    entries 3n + 1; every linear series with n <= 10.
+    """
+    for n in range(1, 9):
+        yield from enumerate_cyclic(n)
+        if n <= 6:
+            yield from enumerate_cyclic(n, 3 * n + 1)
+    for n in range(2, 11):
+        yield from enumerate_linear(n)

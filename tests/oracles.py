@@ -173,6 +173,32 @@ def oracle_redundant(kind: str, n: int, relations) -> bool:
     return any(a is not b and _contains(a, b, n, kind) for a in relations for b in relations)
 
 
+def oracle_relations_to_kupisch(system: RelationSystem) -> KupischSeries:
+    """Projective lengths determined by the first relation at or after each vertex.
+
+    Walking forward from v, the first zero path that completes is the one
+    belonging to the first relation start s at or after v (irredundancy
+    makes later relations finish later), so c_v = dist(v, s) + length.
+    Linear vertices past the last start run freely to the sink.
+    """
+    n = system.n
+    starts = [s for s, _ in system.relations]
+    length = {s: e - s + 1 for s, e in system.relations}
+    c = []
+    for v in range(1, n + 1):
+        if system.kind == CYCLIC:
+            dist, s = min(((s - v) % n, s) for s in starts)
+            c.append(dist + length[s])
+        else:
+            ahead = [s for s in starts if s >= v]
+            if ahead:
+                s = ahead[0]
+                c.append(s - v + length[s])
+            else:
+                c.append(n - v + 1)
+    return KupischSeries(system.kind, tuple(c))
+
+
 def brute_force_cyclic(n: int, cap: int):
     """Every valid cyclic tuple (all rotations), by unfiltered product scan."""
     for c in itertools.product(range(2, cap + 1), repeat=n):

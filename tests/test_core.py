@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from nakayama import (
@@ -13,6 +13,7 @@ from nakayama import (
     UniserialModule,
     canonical_form,
     composition_factors,
+    enumerate_chains,
     is_projective,
     kupisch_to_relations,
     normalize_relation_labels,
@@ -26,17 +27,19 @@ from nakayama.errors import (
     BadTail,
     EmptyCyclicSystem,
     InvalidModule,
+    NakayamaError,
     RedundantRelations,
     ShortProjective,
     StepViolation,
 )
 
-from conftest import any_series, cyclic_series, series_with_module
+from conftest import any_series, cyclic_series, enumerated_series, series_with_module
 from oracles import (
     brute_force_cyclic,
     brute_force_linear,
     oracle_redundant,
     oracle_relations,
+    oracle_relations_to_kupisch,
     oracle_syzygy,
 )
 
@@ -72,6 +75,30 @@ def test_validate_rejects(kind, c, err):
 def test_validate_degenerate_endpoints():
     assert validate(LINEAR, (1,)).is_semisimple
     assert validate(CYCLIC, (5,)).is_selfinjective
+
+
+class _Three:
+    """An integer-like object that is not an int."""
+
+    def __index__(self):
+        return 3
+
+
+@pytest.mark.parametrize("entry", [2.7, 2.0, "2"])
+def test_non_integral_entries_raise_rather_than_truncate(entry):
+    with pytest.raises(TypeError):
+        validate(CYCLIC, (entry, 2))
+    with pytest.raises(TypeError):
+        RelationSystem(CYCLIC, 3, ((1, entry),))
+    with pytest.raises(TypeError):
+        RelationSystem(CYCLIC, 3, ((entry, 3),))
+
+
+def test_entries_with_an_index_are_accepted():
+    assert validate(CYCLIC, (_Three(), 3, 3)).c == (3, 3, 3)
+    system = RelationSystem(CYCLIC, 3, ((1, _Three()),))
+    assert system.relations == ((1, 3),)
+    assert type(system.relations[0][1]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +175,20 @@ def test_round_trip_exhaustive():
         for c in brute_force_linear(n):
             series = KupischSeries(LINEAR, c)
             assert relations_to_kupisch(kupisch_to_relations(series)).c == c
+
+
+def test_one_pass_relations_to_kupisch_matches_the_oracle():
+    systems = [kupisch_to_relations(series) for series in enumerated_series()]
+    systems += [chain.to_relation_system() for n in range(2, 10) for kind in (CYCLIC, LINEAR)
+                for r in range(1, n) for chain in enumerate_chains(n, r, kind)]
+    for system in systems:
+        assert relations_to_kupisch(system) == oracle_relations_to_kupisch(system), system
+
+
+def test_relations_to_kupisch_on_a_long_cycle():
+    n = 20000
+    system = RelationSystem(CYCLIC, n, tuple((v, v + 1) for v in range(1, n + 1)))
+    assert relations_to_kupisch(system).c == (2,) * n
 
 
 def test_selfinjective_relations_flagged_and_round_trip():
@@ -229,6 +270,23 @@ def raw_relations(draw, max_n=9):
 @settings(max_examples=500)
 def test_containment_check_matches_the_pairwise_oracle_up_to_9(drawn):
     assert _accepted(*drawn) != oracle_redundant(*drawn)
+
+
+@given(raw_relations())
+@settings(max_examples=500)
+def test_one_pass_relations_to_kupisch_matches_the_oracle_up_to_9(drawn):
+    try:
+        system = RelationSystem(*drawn)
+    except NakayamaError:
+        reject()
+    try:
+        expected = oracle_relations_to_kupisch(system)
+    except NakayamaError as error:  # the lengths fail validation: the same way on both routes
+        with pytest.raises(NakayamaError) as raised:
+            relations_to_kupisch(system)
+        assert type(raised.value) is type(error)
+    else:
+        assert relations_to_kupisch(system) == expected
 
 
 def test_long_relation_round_trip():

@@ -125,7 +125,6 @@ def test_tower_reuses_a_given_base_set(monkeypatch):
     for series, tower, basis in cases:
         seen.clear()
         assert epsilon(series, basis) == tower.steps[0]
-        assert epsilon_tower(series, basis) == tower
         assert series not in seen  # later steps reduce algebras with fewer vertices
 
 

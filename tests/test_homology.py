@@ -20,13 +20,12 @@ from nakayama import (
     kupisch_to_relations,
     pd_simples,
     projective_dimension,
-    syzygy_orbit,
     validate,
 )
 from nakayama.errors import InfiniteGlobalDimension
 from nakayama.homology import _module_table, all_modules
 
-from conftest import any_series
+from conftest import any_series, enumerated_series
 from oracles import oracle_pd, oracle_syzygy
 
 
@@ -91,15 +90,6 @@ def test_module_table_matches_the_oracles(n):
             kernel = oracle_syzygy(series, m)
             assert syz == (None if kernel is None else (kernel.top, kernel.length)), (series, m)
             assert pd == oracle_pd(series, m), (series, m)
-
-
-@given(any_series(max_n=5, max_entry=9))
-@settings(max_examples=150)
-def test_orbit_bounded_by_total_dimension(series):
-    bound = sum(series.c)
-    for v in range(1, series.n + 1):
-        orbit = list(syzygy_orbit(series, UniserialModule(v, 1)))
-        assert len(orbit) <= bound
 
 
 @given(any_series(max_n=4, max_entry=7))
@@ -169,6 +159,22 @@ def test_lambda_restricted_to_attained_values():
     r = homology_report(validate(CYCLIC, (3, 2, 2)))
     with pytest.raises(KeyError):
         r.lam[5]
+
+
+def test_lambda_counts_match_a_per_value_count():
+    for series in enumerated_series():
+        report = homology_report(series)
+        pds = report.pd_simple
+        expected = {cc: sum(1 for p in pds if p != cc) for cc in report.o_set}
+        assert list(report.lam.items()) == list(expected.items()), series
+
+
+def test_report_on_a_long_line():
+    n = 20000
+    report = homology_report(validate(LINEAR, (2,) * (n - 1) + (1,)))
+    assert report.gldim == n - 1
+    assert report.o_set == tuple(range(n))
+    assert all(report.lam[cc] == n - 1 for cc in report.o_set)
 
 
 def test_lambda_one_equals_relation_count():

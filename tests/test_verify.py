@@ -20,10 +20,12 @@ from nakayama import (
     epsilon,
     epsilon_tower,
     homology_report,
+    is_chain,
+    relations_to_kupisch,
     syzygy,
 )
 from nakayama.enumeration import _cyclic_with_first
-from nakayama.errors import NotFiltered
+from nakayama.errors import CensusMismatch, NotFiltered
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
 from nakayama.homology import _module_table, all_modules
 from nakayama.verify import SUITES, run_suites, _Profile, _shards, _sweep_shard, _SUITE_FUNCTIONS
@@ -172,6 +174,20 @@ def test_census_reports_each_algebra_of_its_kind_once(monkeypatch, kind):
     swept = [s for n in range(2, 6)
              for s in (enumerate_cyclic(n) if kind == CYCLIC else enumerate_linear(n))]
     assert calls == swept
+
+
+def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
+    flipped = (3, 2, 2)  # maximal at n = 3
+    monkeypatch.setattr(nakayama.verify, "is_chain", lambda system: is_chain(system)
+                        != (relations_to_kupisch(system).c == flipped))
+    text = "[3,2,2]: maximal=True but chain=False"
+    results = run_suites(["chain", "fibonacci"], 3)
+    assert results["chain"][1].count(text) == 1
+    assert results["fibonacci"][1].count(text) == 1
+    assert census([3], CYCLIC).violations.count(text) == 1
+    with pytest.raises(CensusMismatch) as raised:
+        census([3], CYCLIC, strict=True)
+    assert text in raised.value.violations
 
 
 def test_one_base_set_per_algebra(monkeypatch):
