@@ -62,8 +62,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_kind_flags(parser, required=True):
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_kind_flags(parser):
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--cyclic", action="store_true", help="cyclic quiver")
     group.add_argument("--linear", action="store_true", help="linear (acyclic) quiver")
 

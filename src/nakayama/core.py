@@ -9,9 +9,9 @@ Conventions (fixed once, used everywhere):
   with top at vertex v (equivalently: one plus the length of the longest
   nonzero path starting at v).
 * The uniserial module M(t, l) has top at vertex t, length l, and
-  composition factors at vertices t, t+1, ..., t+l-1 (taken mod n when
-  cyclic).  It is the quotient of the projective at t by the l-th radical
-  power, so l <= c[t-1] always.
+  composition factors at vertices t, t+1, ..., t+l-1 (taken mod n; on a
+  line t+l-1 <= n, so they never wrap).  It is the quotient of the
+  projective at t by the l-th radical power, so l <= c[t-1] always.
 * A relation is stored as a pair (start, end) of arrow indices meaning the
   path using arrows start, start+1, ..., end is zero.  ``end`` is kept as a
   plain integer >= start + 1 (not reduced mod n), so the path length is
@@ -23,7 +23,7 @@ concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import index
 
 from .errors import (
@@ -168,19 +168,17 @@ def is_projective(series: KupischSeries, m: UniserialModule) -> bool:
 def composition_factors(series: KupischSeries, m: UniserialModule) -> tuple[int, ...]:
     """Vertices of the composition factors, top first."""
     check_module(series, m)
-    n = series.n
-    if series.kind == CYCLIC:
-        return tuple((m.top - 1 + t) % n + 1 for t in range(m.length))
-    return tuple(m.top + t for t in range(m.length))
+    return tuple((m.top - 1 + t) % series.n + 1 for t in range(m.length))
 
 
-def _syzygy_step(c, cyclic, top, length):
+def _syzygy_step(c, top, length):
     """(top, length) of the syzygy of the non-projective M(top, length).
 
     The step constraint on the series guarantees the result is again a
     valid module; a result that is not raises InternalError.
     """
-    new_top = (top - 1 + length) % len(c) + 1 if cyclic else top + length
+    # on a line length < c_top <= n - top + 1, so top + length never wraps
+    new_top = (top - 1 + length) % len(c) + 1
     new_length = c[top - 1] - length
     if new_length > c[new_top - 1]:
         raise InternalError(f"syzygy of M({top},{length}) over [{','.join(map(str, c))}]"
@@ -197,7 +195,7 @@ def syzygy(series: KupischSeries, m: UniserialModule) -> UniserialModule | None:
     check_module(series, m)
     if m.length == series.c[m.top - 1]:
         return None
-    return UniserialModule(*_syzygy_step(series.c, series.kind == CYCLIC, m.top, m.length))
+    return UniserialModule(*_syzygy_step(series.c, m.top, m.length))
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +208,20 @@ class RelationSystem:
 
     ``relations`` holds (start, end) arrow-index pairs sorted by start; see
     the module docstring for the unreduced-end convention.  Construction
-    enforces integer endpoints (TypeError otherwise), distinct starts in
-    1..n, lengths of at least 2, linear ends at most n - 1, and no relation
-    inside another (on a cycle, after any shift by a multiple of n), so the
-    ends increase with the starts.  For the linear kind the formal relation
-    "arrow n vanishes" is implicit and not stored; the conventional relation
-    count ``r`` is stored plus one.  Cyclic selfinjective algebras are
-    presented by n relations of equal length and flagged via ``selfinjective``.
+    enforces an integer vertex count and endpoints (TypeError otherwise),
+    distinct starts in 1..n, lengths of at least 2, linear ends at most
+    n - 1, and no relation inside another (on a cycle, after any shift by a
+    multiple of n), so the ends increase with the starts.  For the linear
+    kind the formal relation "arrow n vanishes" is implicit and not stored;
+    the conventional relation count ``r`` is stored plus one.
     """
 
     kind: str
     n: int
     relations: tuple[tuple[int, int], ...]
-    selfinjective: bool = field(default=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
         object.__setattr__(
             self, "relations", tuple(sorted((index(s), index(e)) for s, e in self.relations))
         )
@@ -254,12 +251,11 @@ class RelationSystem:
             if ends[i + 1] <= ends[i]:
                 inner = rel[(i + 1) % len(rel)]
                 raise RedundantRelations(f"relation {rel[i]} contains relation {inner}")
-        if self.selfinjective:
-            lengths = {e - s + 1 for s, e in rel}
-            if self.kind != CYCLIC or len(rel) != self.n or len(lengths) != 1:
-                raise InvalidRelationSystem(
-                    "selfinjective flag requires n cyclic relations of equal length"
-                )
+
+    @property
+    def selfinjective(self) -> bool:
+        """Cyclic with n relations; the n increasing ends then step by one, so lengths agree."""
+        return self.kind == CYCLIC and len(self.relations) == self.n
 
     @property
     def r(self) -> int:
@@ -282,8 +278,7 @@ def kupisch_to_relations(series: KupischSeries) -> RelationSystem:
     for v in range(1, last + 1):
         if c[v - 1] <= c[v % n]:
             rel.append((v, v + c[v - 1] - 1))
-    return RelationSystem(series.kind, n, tuple(rel),
-                          selfinjective=series.is_selfinjective)
+    return RelationSystem(series.kind, n, tuple(rel))
 
 
 def relations_to_kupisch(system: RelationSystem) -> KupischSeries:
@@ -315,7 +310,7 @@ def normalize_relation_labels(system: RelationSystem) -> RelationSystem:
     n = system.n
     rel = tuple(((s - shift - 1) % n + 1, (s - shift - 1) % n + 1 + (e - s))
                 for s, e in system.relations)
-    return RelationSystem(CYCLIC, n, rel, selfinjective=system.selfinjective)
+    return RelationSystem(CYCLIC, n, rel)
 
 
 # ---------------------------------------------------------------------------

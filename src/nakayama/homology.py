@@ -35,10 +35,10 @@ def projective_dimension(series: KupischSeries, m: UniserialModule, memo=None):
     once written, so the answer never depends on query order.
     """
     check_module(series, m)
-    return _pd_walk(series.c, series.kind == CYCLIC, m.top, m.length, {} if memo is None else memo)
+    return _pd_walk(series.c, m.top, m.length, {} if memo is None else memo)
 
 
-def _pd_walk(c, cyclic, top, length, memo):
+def _pd_walk(c, top, length, memo):
     """The walk of ``projective_dimension`` from the valid module M(top, length)."""
     path = []
     on_path = set()
@@ -55,7 +55,7 @@ def _pd_walk(c, cyclic, top, length, memo):
             break
         on_path.add(key)
         path.append(key)
-        top, length = _syzygy_step(c, cyclic, top, length)
+        top, length = _syzygy_step(c, top, length)
     for key in reversed(path):
         base = base + 1  # INFINITE + 1 == INFINITE
         memo[key] = base
@@ -66,14 +66,13 @@ def pd_simples(series: KupischSeries, memo=None) -> tuple:
     """Projective dimension of every simple module, indexed by vertex."""
     if memo is None:
         memo = {}
-    c, cyclic = series.c, series.kind == CYCLIC
-    return tuple(_pd_walk(c, cyclic, v, 1, memo) for v in range(1, series.n + 1))
+    return tuple(_pd_walk(series.c, v, 1, memo) for v in range(1, series.n + 1))
 
 
 def _module_table(series: KupischSeries) -> list:
     """Every module's [syzygy as (top, length), or None; pd] at [top - 1][length - 1]."""
-    c, cyclic = series.c, series.kind == CYCLIC
-    table = [[[_syzygy_step(c, cyclic, top, length), None] for length in range(1, ct)]
+    c = series.c
+    table = [[[_syzygy_step(c, top, length), None] for length in range(1, ct)]
              + [[None, 0]] for top, ct in enumerate(c, 1)]
     for row in table:
         for entry in row:

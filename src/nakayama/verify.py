@@ -225,56 +225,28 @@ def census(ns, kind: str, cap: "int | None" = None, strict: bool = False) -> Cen
     return table
 
 
-def suite_sconnected_qh(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """S-connected iff quasi-hereditary, on every connected non-semisimple algebra."""
-    return (sweep or _Sweep(("sconnected-qh",), n, cap)).results["sconnected-qh"]
+def _suite(name: str, statement: str):
+    """The public ``suite_<name>(n, cap=None, sweep=None)``, documented by its theorem."""
+    def suite(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
+        return (sweep or _Sweep((name,), n, cap)).results[name]
+    suite.__name__ = suite.__qualname__ = "suite_" + name.replace("-", "_")
+    suite.__doc__ = statement
+    return suite
 
 
-def suite_brown(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic)."""
-    return (sweep or _Sweep(("brown",), n, cap)).results["brown"]
-
-
-def suite_generalized_inequality(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """gldim <= a + lambda_c for every attained c, plus the linear sink bound."""
-    return (sweep or _Sweep(("generalized-inequality",), n, cap)).results["generalized-inequality"]
-
-
-def suite_madsen(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """Odd-pd modules attain their pd on a composition factor."""
-    return (sweep or _Sweep(("madsen",), n, cap)).results["madsen"]
-
-
-def suite_parity(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """Odd attainment and even interpolation of simple pd values."""
-    return (sweep or _Sweep(("parity",), n, cap)).results["parity"]
-
-
-def suite_chain(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """Maximal global dimension iff the defining relations form a chain."""
-    return (sweep or _Sweep(("chain",), n, cap)).results["chain"]
-
-
-def suite_fibonacci(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """Census counts match the Fibonacci values, all three routes agreeing."""
-    return (sweep or _Sweep(("fibonacci",), n, cap)).results["fibonacci"]
-
-
-def suite_epsilon(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-    """Tower terminal, dimension drop by two, and second-syzygy tiling."""
-    return (sweep or _Sweep(("epsilon",), n, cap)).results["epsilon"]
-
-
-_SUITE_FUNCTIONS = {
-    "sconnected-qh": suite_sconnected_qh,
-    "brown": suite_brown,
-    "generalized-inequality": suite_generalized_inequality,
-    "madsen": suite_madsen,
-    "parity": suite_parity,
-    "chain": suite_chain,
-    "fibonacci": suite_fibonacci,
-    "epsilon": suite_epsilon,
-}
+_SUITE_FUNCTIONS = {name: _suite(name, statement) for name, statement in (
+    ("sconnected-qh",
+     "S-connected iff quasi-hereditary, on every connected non-semisimple algebra."),
+    ("brown", "Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic)."),
+    ("generalized-inequality",
+     "gldim <= a + lambda_c for every attained c, plus the linear sink bound."),
+    ("madsen", "Odd-pd modules attain their pd on a composition factor."),
+    ("parity", "Odd attainment and even interpolation of simple pd values."),
+    ("chain", "Maximal global dimension iff the defining relations form a chain."),
+    ("fibonacci", "Census counts match the Fibonacci values, all three routes agreeing."),
+    ("epsilon", "Tower terminal, dimension drop by two, and second-syzygy tiling."),
+)}
+globals().update({suite.__name__: suite for suite in _SUITE_FUNCTIONS.values()})
 SUITES = tuple(_SUITE_FUNCTIONS)
 
 

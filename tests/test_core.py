@@ -37,6 +37,7 @@ from conftest import any_series, cyclic_series, enumerated_series, series_with_m
 from oracles import (
     brute_force_cyclic,
     brute_force_linear,
+    module_vertices,
     oracle_redundant,
     oracle_relations,
     oracle_relations_to_kupisch,
@@ -92,6 +93,8 @@ def test_non_integral_entries_raise_rather_than_truncate(entry):
         RelationSystem(CYCLIC, 3, ((1, entry),))
     with pytest.raises(TypeError):
         RelationSystem(CYCLIC, 3, ((entry, 3),))
+    with pytest.raises(TypeError):
+        RelationSystem(CYCLIC, entry, ((1, 2),))  # the vertex count too
 
 
 def test_entries_with_an_index_are_accepted():
@@ -191,6 +194,20 @@ def test_relations_to_kupisch_on_a_long_cycle():
     assert relations_to_kupisch(system).c == (2,) * n
 
 
+def test_parsed_and_converted_selfinjective_systems_are_equal():
+    parsed = parse_relations("1:2;2:3;3:4", CYCLIC, 3)
+    converted = kupisch_to_relations(validate(CYCLIC, (2, 2, 2)))
+    assert parsed == converted and hash(parsed) == hash(converted)
+    assert parsed.selfinjective
+
+
+def test_selfinjective_flag_agrees_with_the_series():
+    for series in enumerated_series():
+        system = kupisch_to_relations(series)
+        assert system.selfinjective == series.is_selfinjective, series
+        assert normalize_relation_labels(system).selfinjective == series.is_selfinjective
+
+
 def test_selfinjective_relations_flagged_and_round_trip():
     series = validate(CYCLIC, (5, 5))
     system = kupisch_to_relations(series)
@@ -198,6 +215,9 @@ def test_selfinjective_relations_flagged_and_round_trip():
     assert len(system.relations) == 2
     assert system.lengths() == (5, 5)
     assert relations_to_kupisch(system).c == (5, 5)
+    system = RelationSystem(CYCLIC, _Three(), ((1, 2),))
+    assert type(system.n) is int and system.n == 3
+    assert relations_to_kupisch(system).c == (2, 4, 3)
 
 
 def test_loop_algebra_round_trip():
@@ -289,6 +309,40 @@ def test_one_pass_relations_to_kupisch_matches_the_oracle_up_to_9(drawn):
         assert relations_to_kupisch(system) == expected
 
 
+@given(raw_relations())
+@settings(max_examples=300)
+def test_selfinjective_flag_agrees_with_the_series_up_to_9(drawn):
+    try:
+        system = RelationSystem(*drawn)
+        series = relations_to_kupisch(system)
+    except NakayamaError:
+        reject()
+    assert system.selfinjective == series.is_selfinjective
+
+
+@st.composite
+def relations_at_every_vertex(draw, max_n=9):
+    """(n, relations): one cyclic relation at each vertex, lengths L or L + 1."""
+    n = draw(st.integers(1, max_n))
+    shortest = draw(st.integers(2, 3 * n + 1))
+    lengths = draw(st.lists(st.integers(shortest, shortest + 1), min_size=n, max_size=n))
+    return n, tuple((s, s + length - 1) for s, length in zip(range(1, n + 1), lengths))
+
+
+@given(relations_at_every_vertex())
+@settings(max_examples=300)
+def test_n_cyclic_relations_are_accepted_iff_their_lengths_agree(drawn):
+    # the premise of the derived selfinjective flag
+    n, relations = drawn
+    equal = len({e - s for s, e in relations}) == 1
+    try:
+        system = RelationSystem(CYCLIC, n, relations)
+    except RedundantRelations:
+        assert not equal
+    else:
+        assert equal and system.selfinjective
+
+
 def test_long_relation_round_trip():
     # relation length exceeding n must survive the conversion cycle
     series = validate(CYCLIC, (5, 4, 4))
@@ -342,6 +396,17 @@ def test_composition_factors():
     assert composition_factors(s, UniserialModule(2, 4)) == (2, 3, 1, 2)
     lin = validate(LINEAR, (3, 2, 2, 1))
     assert composition_factors(lin, UniserialModule(1, 3)) == (1, 2, 3)
+
+
+def test_composition_factors_match_the_oracle():
+    # one modular formula for both kinds: a linear module never passes vertex n
+    series = [KupischSeries(LINEAR, c) for n in range(1, 8) for c in brute_force_linear(n)]
+    series += [KupischSeries(CYCLIC, c) for n in range(1, 6) for c in brute_force_cyclic(n, 2 * n)]
+    for s in series:
+        for top in range(1, s.n + 1):
+            for length in range(1, s.c[top - 1] + 1):
+                m = UniserialModule(top, length)
+                assert composition_factors(s, m) == module_vertices(s, m), (s, m)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,15 @@ from nakayama.verify import SUITES, run_suites, _Profile, _shards, _sweep_shard,
 
 
 @pytest.mark.parametrize("name", SUITES)
+def test_each_suite_is_a_documented_module_function(name):
+    attribute = "suite_" + name.replace("-", "_")
+    suite = getattr(nakayama.verify, attribute)
+    assert suite is _SUITE_FUNCTIONS[name]
+    assert suite.__name__ == attribute and suite.__module__ == "nakayama.verify"
+    assert suite.__doc__
+
+
+@pytest.mark.parametrize("name", SUITES)
 def test_each_suite_clean_on_small_range(name):
     detail, violations = _SUITE_FUNCTIONS[name](4)
     assert violations == []
