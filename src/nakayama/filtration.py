@@ -3,14 +3,16 @@
 For a cyclic non-selfinjective algebra the socles of the indecomposable
 projectives single out a set of vertices; the stretches of the cycle
 between consecutive socle vertices are uniserial interval modules that
-tile the cycle (the base set).  Second and higher syzygies decompose
-uniquely into consecutive intervals; as the intervals tile the cycle, a
-module does exactly when its top is an interval top and its socle a
-socle vertex.  Counting intervals instead of composition factors yields
-a smaller Nakayama algebra whose module category models the
-interval-filtered modules.  Iterating the construction terminates in a
-selfinjective algebra exactly when the global dimension is infinite, and
-in an acyclic one exactly when it is finite.
+tile the cycle (the base set).  As they tile it, a module decomposes into
+consecutive intervals exactly when its top is an interval top and its
+socle a socle vertex.  Every second syzygy does, and so every higher one:
+two steps of M(t, l) -> M(t + l, c_t - l) give, read mod n,
+Omega^2 M(t, l) = M(t + c_t, c_{t+l} - c_t + l), whose top follows the
+socle of P_t and whose socle is the socle of P_{t+l}.  Counting intervals
+instead of composition factors yields a smaller Nakayama algebra whose
+module category models the interval-filtered modules.  Iterating the
+construction terminates in a selfinjective algebra exactly when the global
+dimension is infinite, and in an acyclic one exactly when it is finite.
 
 The reduced algebra is computed combinatorially from the tiling; vertex j
 of the result corresponds to interval j, in the cyclic order of socle
@@ -215,18 +217,12 @@ def delta_filtration(
     """
     basis = basis or base_set(series)
     check_module(series, m)
-    if reason := _untiled(basis, series.n, m.top, m.length):
-        raise NotFiltered(reason)
+    if m.top not in basis.top_vertices:
+        raise NotFiltered(f"{m} has top {m.top}, which is not an interval top")
+    if (m.top + m.length - 2) % series.n + 1 not in basis.socle_vertices:
+        raise NotFiltered(f"{m} is not tiled exactly by consecutive intervals")
     j = basis.top_vertices.index(m.top)
     count = _interval_count(basis.deltas, series.n, j, m.length)
     r = len(basis.deltas)
     return [(j + k) % r for k in range(count)]
 
-
-def _untiled(basis: DeltaBasis, n: int, top: int, length: int):
-    """Why M(top, length) is not tiled by consecutive intervals of ``basis``, or None."""
-    if top not in basis.top_vertices:
-        return f"{UniserialModule(top, length)} has top {top}, which is not an interval top"
-    if (top + length - 2) % n + 1 not in basis.socle_vertices:
-        return f"{UniserialModule(top, length)} is not tiled exactly by consecutive intervals"
-    return None

@@ -70,22 +70,20 @@ def pd_simples(series: KupischSeries, memo=None) -> tuple:
 
 
 def _module_table(series: KupischSeries) -> list:
-    """Every module's [syzygy as (top, length), or None; pd] at [top - 1][length - 1]."""
+    """Every module's pd at [top - 1][length - 1]; each module is stepped at most once."""
     c = series.c
-    table = [[[_syzygy_step(c, top, length), None] for length in range(1, ct)]
-             + [[None, 0]] for top, ct in enumerate(c, 1)]
-    for row in table:
-        for entry in row:
-            path = []
-            while entry[1] is None:
-                path.append(entry)
-                entry[1] = -1  # on the current path
-                top, length = entry[0]
-                entry = table[top - 1][length - 1]
-            base = INFINITE if entry[1] == -1 else entry[1]
-            for entry in reversed(path):
+    table = [[None] * (ct - 1) + [0] for ct in c]
+    for start, row in enumerate(table, 1):
+        for start_length in range(1, len(row)):
+            top, length, path = start, start_length, []
+            while (pd := table[top - 1][length - 1]) is None:
+                table[top - 1][length - 1] = -1  # on the current path
+                path.append((top, length))
+                top, length = _syzygy_step(c, top, length)
+            base = INFINITE if pd == -1 else pd
+            for top, length in reversed(path):
                 base = base + 1  # INFINITE + 1 == INFINITE
-                entry[1] = base
+                table[top - 1][length - 1] = base
     return table
 
 
@@ -154,8 +152,8 @@ class HomologyReport:
 
 
 def homology_report(series: KupischSeries, table=None) -> HomologyReport:
-    """The full report for a connected Nakayama algebra; ``table``: its module table, if built."""
-    pds = pd_simples(series) if table is None else tuple(row[0][1] for row in table)
+    """The full report for a connected Nakayama algebra; ``table``: its module pds, if built."""
+    pds = pd_simples(series) if table is None else tuple(row[0] for row in table)
     gldim = max(pds)
     o_set = tuple(sorted({p for p in pds if p != INFINITE}))
     a_min = o_set[0] if o_set else None
@@ -197,15 +195,15 @@ def check_madsen(series: KupischSeries, table=None) -> list:
     maximum of the finite pds of its simple composition factors must exist
     and equal pd M.  Returns the violating modules.  M(t, l) adds the factor
     at t + l - 1 to those of M(t, l - 1), so one walk per top keeps the maximum.
-    ``table``: the algebra's ``_module_table``, built here when not given.
+    ``table``: the algebra's ``_module_table`` of pds, built here when not given.
     """
     if table is None:
         table = _module_table(series)
-    n, pds = series.n, [row[0][1] for row in table]
+    n, pds = series.n, [row[0] for row in table]
     violations = []
     for top, row in enumerate(table, 1):
         best = None  # largest finite pd among the factors so far
-        for length, (_, p) in enumerate(row[:-1], 1):  # projectives have pd 0
+        for length, p in enumerate(row[:-1], 1):  # projectives have pd 0
             q = pds[(top + length - 2) % n]
             if q != INFINITE and (best is None or q > best):
                 best = q

@@ -16,11 +16,11 @@ from __future__ import annotations
 import multiprocessing
 from functools import cached_property
 
-from .core import CYCLIC, LINEAR, UniserialModule, kupisch_to_relations
+from .core import CYCLIC, LINEAR, kupisch_to_relations
 from .enumeration import (CensusTable, _cyclic_cap, _cyclic_with_first, _MaximalTally,
                           enumerate_linear, is_chain, is_maximal)
 from .errors import CensusMismatch
-from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _untiled, base_set, epsilon
+from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, epsilon
 from .homology import (
     INFINITE,
     _module_table,
@@ -45,7 +45,7 @@ class _Profile:
     """One algebra and what the suites read about it, each computed on first use."""
 
     def __init__(self, series, tabled=False, reduced=None):
-        self.series, self.tabled = series, tabled  # tabled: madsen or epsilon reads the table
+        self.series, self.tabled = series, tabled  # tabled: madsen runs; it alone reads the table
         self.reduced = {} if reduced is None else reduced  # series -> profile, one dict per shard
 
     table = cached_property(lambda self: _module_table(self.series))
@@ -53,8 +53,7 @@ class _Profile:
         lambda self: homology_report(self.series, self.table if self.tabled else None))
     relations = cached_property(lambda self: kupisch_to_relations(self.series))
     chain = cached_property(lambda self: is_chain(self.relations))
-    basis = cached_property(lambda self: base_set(self.series))
-    step = cached_property(lambda self: epsilon(self.series, self.basis))  # the first reduction
+    step = cached_property(lambda self: epsilon(self.series))  # the first reduction
     terminal = cached_property(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.series.is_selfinjective else
         self.of(self.step.algebra).terminal if self.step.is_cyclic else TERMINAL_LINEAR))
@@ -124,15 +123,6 @@ def _epsilon(profile):
             )
     if step.is_cyclic == report.quasi_hereditary:
         violations.append(f"{series}: quasi-heredity disagrees with reduction shape")
-    table, basis, n = profile.table, profile.basis, series.n
-    tops, socles = set(basis.top_vertices), set(basis.socle_vertices)
-    for row in table:
-        for (top, length), _ in row[:-1]:  # projectives have no syzygy
-            second = table[top - 1][length - 1][0]
-            if second is not None and (second[0] not in tops
-                                       or (second[0] + second[1] - 2) % n + 1 not in socles):
-                reason = _untiled(basis, n, *second)
-                violations.append(f"{series}: {UniserialModule(*second)} not tiled ({reason})")
     return violations
 
 
@@ -152,7 +142,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
     checks = {name: _CHECKS[name][1] for name in names if name in _CHECKS}
     found = {name: [0, []] for name in checks}
     fibonacci, tally = "fibonacci" in names, _MaximalTally(n, kind)
-    tabled, reduced = "madsen" in checks or "epsilon" in checks, {}
+    tabled, reduced = "madsen" in checks, {}
     for series in _cyclic_with_first(n, first) if kind == CYCLIC else enumerate_linear(n):
         profile = _Profile(series, tabled, reduced)
         for name, predicate in checks.items():
@@ -244,7 +234,7 @@ _SUITE_FUNCTIONS = {name: _suite(name, statement) for name, statement in (
     ("parity", "Odd attainment and even interpolation of simple pd values."),
     ("chain", "Maximal global dimension iff the defining relations form a chain."),
     ("fibonacci", "Census counts match the Fibonacci values, all three routes agreeing."),
-    ("epsilon", "Tower terminal, dimension drop by two, and second-syzygy tiling."),
+    ("epsilon", "Tower terminal, vertex count, dimension drop by two, and reduction shape."),
 )}
 globals().update({suite.__name__: suite for suite in _SUITE_FUNCTIONS.values()})
 SUITES = tuple(_SUITE_FUNCTIONS)

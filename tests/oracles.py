@@ -9,6 +9,7 @@ correct on small inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -77,6 +78,41 @@ def oracle_tiled(series: KupischSeries, m: UniserialModule) -> bool:
         tiles += intervals[j % len(intervals)]
         j += 1
     return tiles == body
+
+
+def oracle_quasi_hereditary(series: KupischSeries) -> bool:
+    """Quasi-heredity by its definition, searched on the explicit path basis.
+
+    The basis is the paths (t, k) with k < c_t, each held as its vertex
+    tuple.  In the algebra of the paths avoiding the removed vertices, the
+    ideal generated by e_i is a heredity ideal when multiplication
+    Ae_i (x) e_iA -> Ae_iA is bijective: #(paths through i) equals
+    #(paths ending at i) * #(paths starting at i).  A loop p at i breaks
+    that count, as (e_i, p) and (p, e_i) both give p, so e_iAe_i = k is
+    forced too.  The algebra is quasi-hereditary when some sequence of
+    such vertices removes every vertex (Dlab and Ringel, Illinois J. Math.
+    1989).
+    """
+    n = series.n
+    paths = [projective_vertices(series, t)[:k + 1] for t in range(1, n + 1)
+             for k in range(series.c[t - 1])]
+
+    @functools.lru_cache(maxsize=None)
+    def removable(removed: frozenset) -> bool:
+        if len(removed) == n:
+            return True
+        alive = [p for p in paths if removed.isdisjoint(p)]
+        for i in range(1, n + 1):
+            if i in removed:
+                continue
+            through = sum(1 for p in alive if i in p)
+            ending = sum(1 for p in alive if p[-1] == i)
+            starting = sum(1 for p in alive if p[0] == i)
+            if through == ending * starting and removable(removed | {i}):
+                return True
+        return False
+
+    return removable(frozenset())
 
 
 def oracle_relations(series: KupischSeries):

@@ -15,6 +15,7 @@ from nakayama import (
     enumerate_chains,
     enumerate_cyclic,
     enumerate_linear,
+    epsilon,
     fibonacci,
     homology_report,
     is_chain,
@@ -296,6 +297,27 @@ def test_default_cap_reaches_every_finite_gldim_class():
         assert max(map(max, finite)) == 2 * n - 1
         counts.append(len(finite))
     assert counts == [1, 4, 15, 52, 190]
+
+
+def test_entries_above_n_force_a_cyclic_reduction_and_infinite_gldim():
+    # steps (a) and (b) of a proof that the default cap misses no finite-gldim
+    # class, on every class n <= 6 with entries up to 3n + 1: (a) an entry of at
+    # least 2n puts every entry above n (entries drop by at most one a step);
+    # (b) then, unless selfinjective, the reduction is cyclic with every entry
+    # above its vertex count, and gldim is infinite
+    above = 0
+    for n in range(1, 7):
+        for series in enumerate_cyclic(n, 3 * n + 1):
+            c = series.c
+            if max(c) >= 2 * n:
+                assert min(c) >= n + 1, c
+            if min(c) > n and not series.is_selfinjective:
+                reduced = epsilon(series)
+                assert reduced.is_cyclic, c
+                assert min(reduced.algebra.c) > reduced.algebra.n, c
+                assert homology_report(series).gldim == INFINITE, c
+                above += 1
+    assert above == 1147
 
 
 def test_cap_stability():

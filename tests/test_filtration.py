@@ -192,18 +192,29 @@ def test_delta_filtration_agrees_with_the_tiling_oracle(n):
 # ---------------------------------------------------------------------------
 
 def test_second_syzygies_tile():
-    for series in nonselfinjective_cyclic(6):
-        basis = base_set(series)
-        for v in range(1, series.n + 1):
-            for length in range(1, series.c[v - 1] + 1):
-                first = syzygy(series, UniserialModule(v, length))
-                if first is None:
+    # Omega^2 M(t, l) = M(t + c_t, c_{t+l} - c_t + l) mod n starts just past the
+    # socle of P_t and ends at the socle of P_{t+l}, so it is tiled
+    seconds = 0
+    for n in range(1, 7):
+        for cap in (None, n + 3):
+            for series in enumerate_cyclic(n, cap):
+                if series.is_selfinjective:
                     continue
-                second = syzygy(series, first)
-                if second is None:
-                    continue
-                indices = delta_filtration(series, second, basis)
-                assert sum(basis.deltas[j].length for j in indices) == second.length
+                c, basis = series.c, base_set(series)
+                for m in all_modules(series):
+                    first = syzygy(series, m)
+                    second = None if first is None else syzygy(series, first)
+                    if second is None:
+                        continue
+                    t, l = m.top, m.length
+                    closed = UniserialModule((t + c[t - 1] - 1) % n + 1,
+                                             c[(t + l - 1) % n] - c[t - 1] + l)
+                    assert second == closed, (series, m)
+                    assert oracle_tiled(series, second), (series, m)
+                    indices = delta_filtration(series, second, basis)
+                    assert sum(basis.deltas[j].length for j in indices) == second.length
+                    seconds += 1
+    assert seconds == 33622
 
 
 def test_dimension_drop_by_two():

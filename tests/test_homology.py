@@ -26,7 +26,7 @@ from nakayama.errors import InfiniteGlobalDimension
 from nakayama.homology import _module_table, all_modules
 
 from conftest import any_series, enumerated_series
-from oracles import oracle_pd, oracle_syzygy
+from oracles import oracle_pd, oracle_quasi_hereditary
 
 
 def all_algebras(n_max, cap=None):
@@ -78,7 +78,7 @@ def test_pd_memoized_matches_fresh():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_module_table_matches_the_oracles(n):
     # every module of every cyclic series (default cap and cap n + 2) and
-    # every linear series: the table's syzygy and pd against explicit kernels
+    # every linear series: the table's pd against explicit kernels
     algebras = [*enumerate_cyclic(n), *enumerate_cyclic(n, n + 2)]
     if n >= 2:
         algebras += enumerate_linear(n)
@@ -86,10 +86,7 @@ def test_module_table_matches_the_oracles(n):
         table = _module_table(series)
         assert [len(row) for row in table] == list(series.c)
         for m in all_modules(series):
-            syz, pd = table[m.top - 1][m.length - 1]
-            kernel = oracle_syzygy(series, m)
-            assert syz == (None if kernel is None else (kernel.top, kernel.length)), (series, m)
-            assert pd == oracle_pd(series, m), (series, m)
+            assert table[m.top - 1][m.length - 1] == oracle_pd(series, m), (series, m)
 
 
 @given(any_series(max_n=4, max_entry=7))
@@ -144,6 +141,24 @@ def test_report_selfinjective():
     assert r.s_connected is None
     assert r.quasi_hereditary is False
     assert r.brown_slack is None
+
+
+def test_quasi_heredity_examples_by_definition():
+    assert not oracle_quasi_hereditary(validate(CYCLIC, (2,)))  # its loop: e_1Ae_1 != k
+    assert oracle_quasi_hereditary(validate(CYCLIC, (3, 2, 2)))  # e_2, then the line 3 -> 1
+    assert oracle_quasi_hereditary(validate(LINEAR, (2, 2, 2, 1)))
+    assert not oracle_quasi_hereditary(validate(CYCLIC, (3, 4, 4)))  # finite gldim all the same
+
+
+def test_quasi_heredity_criterion_matches_the_definition():
+    # the report's criterion (pd 0 or 2 among the simples) against a heredity-chain search
+    checked = 0
+    for series in enumerated_series():
+        if series.n <= 6:
+            criterion = homology_report(series).quasi_hereditary
+            assert criterion == oracle_quasi_hereditary(series), series
+            checked += 1
+    assert checked == 2630
 
 
 def test_report_mixed_finiteness():
@@ -236,7 +251,7 @@ def test_madsen_reports_a_module_whose_pd_misses_its_factors():
     # pd M(1,2) = 5 is injected through the module table; its factors have pd 1
     series = validate(LINEAR, (3, 2, 1))
     table = _module_table(series)
-    table[0][1][1] = 5
+    table[0][1] = 5
     found = check_madsen(series, table)
     assert found == [UniserialModule(1, 2)]
     assert found == _madsen_by_definition(series, {(1, 2): 5})

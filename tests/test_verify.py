@@ -16,18 +16,16 @@ from nakayama import (
     census,
     enumerate_cyclic,
     enumerate_linear,
-    delta_filtration,
     epsilon,
     epsilon_tower,
     homology_report,
     is_chain,
     relations_to_kupisch,
-    syzygy,
 )
 from nakayama.enumeration import _cyclic_with_first
-from nakayama.errors import CensusMismatch, NotFiltered
+from nakayama.errors import CensusMismatch
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
-from nakayama.homology import _module_table, all_modules
+from nakayama.homology import _module_table
 from nakayama.verify import SUITES, run_suites, _Profile, _shards, _sweep_shard, _SUITE_FUNCTIONS
 
 
@@ -206,8 +204,7 @@ def test_one_base_set_per_algebra(monkeypatch):
         calls.append(series)
         return base_set(series)
 
-    for module in (nakayama.verify, nakayama.filtration):
-        monkeypatch.setattr(module, "base_set", counted)
+    monkeypatch.setattr(nakayama.filtration, "base_set", counted)
     run_suites(SUITES, 5)
     assert calls and max(Counter(map(id, calls)).values()) == 1
 
@@ -220,31 +217,12 @@ def test_one_module_table_per_algebra_and_none_unread(monkeypatch):
         return _module_table(series)
 
     monkeypatch.setattr(nakayama.verify, "_module_table", counted)
-    run_suites(["sconnected-qh", "brown", "parity", "chain", "fibonacci"], 5)
-    assert calls == []  # these suites read only the simples' pds
+    run_suites(["sconnected-qh", "brown", "generalized-inequality", "parity", "chain",
+                "fibonacci", "epsilon"], 5)
+    assert calls == []  # only madsen reads the table
     run_suites(SUITES, 5)
     swept = sum(1 for n in range(2, 6) for _ in (*enumerate_cyclic(n), *enumerate_linear(n)))
     assert len(calls) == len(set(map(id, calls))) == swept
-
-
-def test_epsilon_lists_each_module_whose_second_syzygy_is_untiled():
-    # a rotation's base set tiles the wrong cycle: some second syzygies fail it
-    series = KupischSeries(CYCLIC, (4, 3, 3, 3))
-    wrong = base_set(KupischSeries(CYCLIC, (3, 3, 3, 4)))
-    profile = nakayama.verify._Profile(series)
-    profile.step  # the reduction itself reads the true base set
-    profile.basis = wrong
-    expected = []
-    for m in all_modules(series):
-        first = syzygy(series, m)
-        second = None if first is None else syzygy(series, first)
-        if second is not None:
-            try:
-                delta_filtration(series, second, wrong)
-            except NotFiltered as exc:
-                expected.append(f"{series}: {second} not tiled ({exc})")
-    assert len(expected) == 5
-    assert nakayama.verify._epsilon(profile) == expected
 
 
 def _cyclic_shards(n_max):
