@@ -41,6 +41,13 @@ CYCLIC = "cyclic"
 LINEAR = "linear"
 
 
+def check_kind(kind: str) -> str:
+    """The quiver ``kind`` itself; ValueError unless it is CYCLIC or LINEAR."""
+    if kind not in (CYCLIC, LINEAR):
+        raise ValueError(f"kind must be {CYCLIC!r} or {LINEAR!r}, got {kind!r}")
+    return kind
+
+
 # ---------------------------------------------------------------------------
 # Kupisch series
 # ---------------------------------------------------------------------------
@@ -59,8 +66,7 @@ class KupischSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(map(index, self.c)))
-        if self.kind not in (CYCLIC, LINEAR):
-            raise ValueError(f"kind must be {CYCLIC!r} or {LINEAR!r}, got {self.kind!r}")
+        check_kind(self.kind)
         c = self.c
         n = len(c)
         if n == 0:
@@ -225,8 +231,7 @@ class RelationSystem:
         object.__setattr__(
             self, "relations", tuple(sorted((index(s), index(e)) for s, e in self.relations))
         )
-        if self.kind not in (CYCLIC, LINEAR):
-            raise ValueError(f"kind must be {CYCLIC!r} or {LINEAR!r}, got {self.kind!r}")
+        check_kind(self.kind)
         if self.n < 1:
             raise InvalidRelationSystem(f"vertex count must be positive, got {self.n}")
         rel = self.relations

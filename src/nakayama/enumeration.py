@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, canonical_form,
-                   relations_to_kupisch)
+                   check_kind, relations_to_kupisch)
 from .homology import HomologyReport
 
 
@@ -42,7 +42,7 @@ def count_closed_form(n: int, r: int, kind: str) -> int:
     """
     if n < 2 or not 1 <= r <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
-    if kind == CYCLIC:
+    if check_kind(kind) == CYCLIC:
         return comb(n + r - 2, 2 * r - 1)
     return comb(n + r - 3, 2 * r - 2)
 
@@ -164,7 +164,7 @@ def enumerate_chains(n: int, r: int, kind: str):
     """
     if n < 2 or not 1 <= r <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
-    stored = r if kind == CYCLIC else r - 1
+    stored = r if check_kind(kind) == CYCLIC else r - 1
     last_end = n if kind == CYCLIC else n - 1
 
     def extend(pairs):

@@ -63,16 +63,3 @@ class FiltrationMismatch(InternalError):
 class NotFiltered(NakayamaError, ValueError):
     """The module does not decompose into consecutive base-set intervals."""
 
-
-class CensusMismatch(NakayamaError):
-    """A census assertion failed; carries the offending instances.
-
-    ``violations`` is a list of human-readable strings, each naming the
-    canonical series (or count row) that broke the assertion.
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        preview = "; ".join(self.violations[:3])
-        more = "" if len(self.violations) <= 3 else f" (+{len(self.violations) - 3} more)"
-        super().__init__(f"{len(self.violations)} census violation(s): {preview}{more}")

@@ -103,16 +103,15 @@ class EpsilonStep:
         return sum(k.n for k in self.components)
 
 
-def epsilon(series: KupischSeries, basis: DeltaBasis | None = None) -> EpsilonStep:
+def epsilon(series: KupischSeries) -> EpsilonStep:
     """The syzygy-filtered algebra, via interval counts.
 
     The projective at an interval top t covers consecutive intervals whose
     lengths sum to exactly c_t (its composition interval runs from one
     interval top to a socle vertex); the number of intervals covered is the
-    new projective length at that vertex.  ``basis``, when given, is
-    ``base_set(series)``.
+    new projective length at that vertex.
     """
-    basis = basis or base_set(series)
+    basis = base_set(series)
     c, deltas = series.c, basis.deltas
     entries = []
     for j, d in enumerate(deltas):

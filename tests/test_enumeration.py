@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import nakayama.enumeration
 from nakayama import (
     CYCLIC,
     INFINITE,
     LINEAR,
+    KupischSeries,
     RelationSystem,
     canonical_form,
     census,
@@ -23,7 +25,7 @@ from nakayama import (
     kupisch_to_relations,
 )
 from nakayama.enumeration import _MaximalTally
-from nakayama.errors import CensusMismatch, NakayamaError
+from nakayama.errors import NakayamaError
 
 from oracles import brute_force_cyclic, burnside_cyclic_classes, oracle_is_chain
 
@@ -209,6 +211,17 @@ def test_closed_form_rejects_out_of_range():
         count_closed_form(4, 0, LINEAR)
 
 
+def test_chain_counts_reject_an_unknown_kind():
+    message = "kind must be 'cyclic' or 'linear', got 'bogus'"
+    with pytest.raises(ValueError) as raised:
+        count_closed_form(4, 2, "bogus")
+    assert str(raised.value) == message
+    chains = enumerate_chains(4, 2, "bogus")  # a generator: it checks on the first next()
+    with pytest.raises(ValueError) as raised:
+        next(chains)
+    assert str(raised.value) == message
+
+
 def test_fibonacci_values():
     assert fibonacci(1) == 1
     assert fibonacci(6) == 8
@@ -260,12 +273,6 @@ def test_census_csv_and_json():
     assert table.to_json() == census([3], CYCLIC).to_json()
 
 
-def test_census_strict_mode_passes_clean():
-    census([3], CYCLIC, strict=True)
-    with pytest.raises(CensusMismatch):
-        raise CensusMismatch(["fake violation"])
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_census_below_and_above_the_default_cap(n):
     for cap in (None, 4, 2 * n + 3):
@@ -286,6 +293,16 @@ def test_capped_tally_still_reports_missing_algebras():
         "n=4 cyclic: chain/maximal sets differ at"
         " [(3, 2, 2, 2), (4, 3, 2, 2), (4, 3, 2, 3), (4, 3, 3, 2)]",
     )  # and no Fibonacci total: cap 4 < 2n - 1 leaves (5, 4, 3, 2) and more out
+
+
+def test_census_reports_a_wrong_closed_form_and_a_wrong_fibonacci_total(monkeypatch):
+    monkeypatch.setattr(nakayama.enumeration, "count_closed_form", lambda n, r, kind: 9)
+    monkeypatch.setattr(nakayama.enumeration, "fibonacci", lambda k: 9)
+    assert census([3], LINEAR).violations == [
+        "n=3 r=1 linear: 1 chains != closed form 9",
+        "n=3 r=2 linear: 1 chains != closed form 9",
+        "n=3 linear: total 2 != Fibonacci 9",
+    ]
 
 
 def test_default_cap_reaches_every_finite_gldim_class():
@@ -318,6 +335,37 @@ def test_entries_above_n_force_a_cyclic_reduction_and_infinite_gldim():
                 assert homology_report(series).gldim == INFINITE, c
                 above += 1
     assert above == 1147
+
+
+@st.composite
+def large_entry_cyclic(draw, max_n=9):
+    """A cyclic series with n <= max_n whose largest entry is often at least 2n.
+
+    Every entry lies in [floor, first] with ``first`` the largest, so the wrap
+    from the last entry back to the first never drops by more than one; the
+    floor n + 1 puts every entry above n, the premise of step (b).
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    floor = draw(st.sampled_from([2, n + 1]))
+    c = [draw(st.integers(min_value=floor, max_value=3 * n + 1))]
+    for _ in range(n - 1):
+        c.append(draw(st.integers(min_value=max(floor, c[-1] - 1), max_value=c[0])))
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    return KupischSeries(CYCLIC, tuple(c[j:] + c[:j]))
+
+
+@settings(max_examples=300)
+@given(large_entry_cyclic())
+def test_large_entries_force_a_cyclic_reduction_up_to_n_9(series):
+    # the previous test's steps (a) and (b), sampled up to n = 9
+    n, c = series.n, series.c
+    if max(c) >= 2 * n:
+        assert min(c) >= n + 1
+    if min(c) > n and not series.is_selfinjective:
+        reduced = epsilon(series)
+        assert reduced.is_cyclic
+        assert min(reduced.algebra.c) > reduced.algebra.n
+        assert homology_report(series).gldim == INFINITE
 
 
 def test_cap_stability():

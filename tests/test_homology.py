@@ -229,7 +229,8 @@ def test_madsen_examples():
 def _madsen_by_definition(series, memo=None):
     """Violating modules of the Madsen property, one module at a time."""
     memo = {} if memo is None else memo
-    simple = pd_simples(series, memo)
+    simple = [projective_dimension(series, UniserialModule(v, 1), memo)
+              for v in range(1, series.n + 1)]
     bad = []
     for m in all_modules(series):
         p = projective_dimension(series, m, memo)
