@@ -51,7 +51,7 @@ from .core import (
 from .enumeration import enumerate_cyclic, enumerate_linear, is_maximal
 from .errors import InternalError, NakayamaError
 from .filtration import epsilon_tower
-from .homology import INFINITE, homology_report
+from .homology import homology_report
 from .verify import SUITES, run_suites
 
 
@@ -117,20 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _fmt_pd(p) -> str:
-    return "inf" if p == INFINITE else str(p)
-
-
 def cmd_analyze(args) -> int:
     series = validate(_kind(args), parse_kupisch(args.kupisch))
     report = homology_report(series)
     system = kupisch_to_relations(series)
     tower = epsilon_tower(series) if series.kind == CYCLIC else None
+    encoded = report.to_dict()  # infinite pds read "inf"
     if args.format == "json":
         payload = {
             "canonical": list(canonical_form(series).c),
             "relations": [list(pair) for pair in system.relations],
-            "report": report.to_dict(),
+            "report": encoded,
             "selfinjective": series.is_selfinjective,
             "tower": tower.to_dict() if tower is not None else None,
         }
@@ -141,8 +138,8 @@ def cmd_analyze(args) -> int:
     if series.kind == CYCLIC:
         print(f"selfinjective {'yes' if series.is_selfinjective else 'no'}")
     print(f"relations     {format_relations(system) or '(none)'}  [r = {system.r}]")
-    print(f"pd simples    {' '.join(_fmt_pd(p) for p in report.pd_simple)}")
-    print(f"gldim         {_fmt_pd(report.gldim)}")
+    print(f"pd simples    {' '.join(map(str, encoded['pd_simple']))}")
+    print(f"gldim         {encoded['gldim']}")
     print(f"pd set        {{{','.join(map(str, report.o_set))}}}")
     for cc in report.o_set:
         print(f"  lambda_{cc} = {report.lam[cc]}")

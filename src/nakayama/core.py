@@ -67,30 +67,21 @@ class KupischSeries:
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(map(index, self.c)))
         check_kind(self.kind)
-        c = self.c
-        n = len(c)
+        c, n, cyclic = self.c, len(self.c), self.kind == CYCLIC
         if n == 0:
             raise ValueError("empty series")
-        if self.kind == CYCLIC:
-            for v in range(n):
-                if c[v] < 2:
-                    raise ShortProjective(f"cyclic series needs c_i >= 2, got c_{v+1} = {c[v]}")
-                if c[(v + 1) % n] < c[v] - 1:
-                    raise StepViolation(
-                        f"c_{(v + 1) % n + 1} = {c[(v + 1) % n]} < c_{v+1} - 1 = {c[v] - 1}"
-                    )
-        else:
-            if c[n - 1] != 1:
-                raise BadTail(f"linear series must end in 1, got c_{n} = {c[n-1]}")
-            for v in range(n - 1):
-                if c[v] < 2:
-                    raise ShortProjective(
-                        f"linear series needs c_i >= 2 for i < n, got c_{v+1} = {c[v]}"
-                    )
-                if c[v] > n - v:
-                    raise BadTail(f"c_{v+1} = {c[v]} exceeds n - i + 1 = {n - v}")
-                if c[v + 1] < c[v] - 1:
-                    raise StepViolation(f"c_{v+2} = {c[v+1]} < c_{v+1} - 1 = {c[v] - 1}")
+        if not cyclic and c[n - 1] != 1:
+            raise BadTail(f"linear series must end in 1, got c_{n} = {c[n-1]}")
+        for v in range(n if cyclic else n - 1):
+            if c[v] < 2:
+                raise ShortProjective(f"{self.kind} series needs c_i >= 2"
+                                      f"{'' if cyclic else ' for i < n'}, got c_{v+1} = {c[v]}")
+            if not cyclic and c[v] > n - v:
+                raise BadTail(f"c_{v+1} = {c[v]} exceeds n - i + 1 = {n - v}")
+            if c[(v + 1) % n] < c[v] - 1:
+                raise StepViolation(
+                    f"c_{(v + 1) % n + 1} = {c[(v + 1) % n]} < c_{v+1} - 1 = {c[v] - 1}"
+                )
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from math import comb
 
 from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, canonical_form,
@@ -187,9 +187,6 @@ def enumerate_chains(n: int, r: int, kind: str):
             for e in range(max(s + 1, prev_end + 1), last_end + 1):
                 yield from extend(pairs + ((s, e),))
 
-    if stored == 0:
-        yield ChainSystem(kind, n, ())
-        return
     yield from extend(())
 
 
@@ -233,37 +230,19 @@ class CensusTable:
         return {row.n: row.enumerated for row in self.rows if row.r is None}
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rows": [
-                {
-                    "n": row.n,
-                    "kind": row.kind,
-                    "r": row.r,
-                    "enumerated": row.enumerated,
-                    "closed_form": row.closed_form,
-                    "fibonacci": row.fibonacci,
-                    "violations": list(row.violations),
-                }
-                for row in self.rows
-            ],
-        }
+        """Each row's ``CensusRow`` fields; the one tuple, the violations, becomes a list."""
+        listed = lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+        return {"kind": self.kind, "rows": [asdict(row, dict_factory=listed) for row in self.rows]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = ["n,kind,r,enumerated,closed_form,fibonacci,violations"]
+        """One column per ``CensusRow`` field, in order; the violations column is their count."""
+        lines = [",".join(f.name for f in fields(CensusRow))]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    "" if x is None else str(x)
-                    for x in (
-                        row.n, row.kind, row.r, row.enumerated,
-                        row.closed_form, row.fibonacci, len(row.violations),
-                    )
-                )
-            )
+            values = (len(x) if isinstance(x, tuple) else x for x in astuple(row))
+            lines.append(",".join("" if x is None else str(x) for x in values))
         return "\n".join(lines) + "\n"
 
 
@@ -295,7 +274,7 @@ class _MaximalTally:
         self.violations += later.violations
 
     def rows(self) -> list:
-        n, kind, violations = self.n, self.kind, self.violations
+        n, kind, violations = self.n, self.kind, list(self.violations)
         rows, chain_set = [], set()
         for r in range(1, n):
             expected = count_closed_form(n, r, kind)

@@ -3,9 +3,11 @@
 For a cyclic non-selfinjective algebra the socles of the indecomposable
 projectives single out a set of vertices; the stretches of the cycle
 between consecutive socle vertices are uniserial interval modules that
-tile the cycle (the base set).  As they tile it, a module decomposes into
-consecutive intervals exactly when its top is an interval top and its
-socle a socle vertex.  Every second syzygy does, and so every higher one:
+tile the cycle (the base set).  As they tile it, the intervals from
+interval j on (top t_j) cover length L exactly when the last vertex
+covered, (t_j + L - 2) mod n + 1, is a socle vertex s_k, and then there
+are (L - 1) // n * r + (k - j) mod r + 1 of them (r intervals in all).
+Every second syzygy is so tiled, and so every higher one:
 two steps of M(t, l) -> M(t + l, c_t - l) give, read mod n,
 Omega^2 M(t, l) = M(t + c_t, c_{t+l} - c_t + l), whose top follows the
 socle of P_t and whose socle is the socle of P_{t+l}.  Counting intervals
@@ -25,6 +27,7 @@ two intervals, so a single entry 1 already breaks the cycle).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import CYCLIC, LINEAR, KupischSeries, UniserialModule, check_module
@@ -106,16 +109,15 @@ class EpsilonStep:
 def epsilon(series: KupischSeries) -> EpsilonStep:
     """The syzygy-filtered algebra, via interval counts.
 
-    The projective at an interval top t covers consecutive intervals whose
-    lengths sum to exactly c_t (its composition interval runs from one
-    interval top to a socle vertex); the number of intervals covered is the
-    new projective length at that vertex.
+    The projective at an interval top ends at a socle vertex, so it is
+    tiled; the number of intervals it covers is the new projective length
+    at that vertex.
     """
     basis = base_set(series)
     c, deltas = series.c, basis.deltas
     entries = []
     for j, d in enumerate(deltas):
-        count = _interval_count(deltas, series.n, j, c[d.top - 1])
+        count = _interval_count(basis, series.n, j, c[d.top - 1])
         if count is None:
             raise FiltrationMismatch(
                 f"interval lengths of {series} never sum to c_{d.top} = {c[d.top - 1]}"
@@ -127,19 +129,14 @@ def epsilon(series: KupischSeries) -> EpsilonStep:
     )
 
 
-def _interval_count(deltas, n, j, length):
-    """How many consecutive intervals from index j tile ``length``; None if none do.
-
-    The intervals tile the cycle of length n, so whole turns are counted at once.
-    """
-    turns, rest = divmod(length, n)
-    r = len(deltas)
-    count = turns * r
-    total = 0
-    while total < rest:
-        total += deltas[(j + count) % r].length
-        count += 1
-    return count if total == rest else None
+def _interval_count(basis, n, j, length):
+    """How many intervals from index j on tile ``length``, by the socle lookup; None if none do."""
+    socles, r = basis.socle_vertices, len(basis.socle_vertices)
+    last = (basis.top_vertices[j] + length - 2) % n + 1
+    k = bisect_left(socles, last)
+    if k == r or socles[k] != last:
+        return None
+    return (length - 1) // n * r + (k - j) % r + 1
 
 
 def _split_components(entries: list[int]) -> tuple[KupischSeries, ...]:
@@ -210,18 +207,18 @@ def delta_filtration(
     Returns the interval indices (positions into ``basis.deltas``), top
     factor first; wraps around the tiling as often as the module is long.
     Raises NotFiltered when the module's top is not an interval top or its
-    socle (last composition factor) is not a socle vertex; the intervals
-    tile the cycle, so that is exactly the tiling.  Second and higher
-    syzygies always decompose; other modules may not.
+    socle (last composition factor) is not a socle vertex, the tiling rule
+    of the module docstring.  Second and higher syzygies always decompose;
+    other modules may not.
     """
     basis = basis or base_set(series)
     check_module(series, m)
     if m.top not in basis.top_vertices:
         raise NotFiltered(f"{m} has top {m.top}, which is not an interval top")
-    if (m.top + m.length - 2) % series.n + 1 not in basis.socle_vertices:
-        raise NotFiltered(f"{m} is not tiled exactly by consecutive intervals")
     j = basis.top_vertices.index(m.top)
-    count = _interval_count(basis.deltas, series.n, j, m.length)
+    count = _interval_count(basis, series.n, j, m.length)
+    if count is None:
+        raise NotFiltered(f"{m} is not tiled exactly by consecutive intervals")
     r = len(basis.deltas)
     return [(j + k) % r for k in range(count)]
 

@@ -80,6 +80,23 @@ def oracle_tiled(series: KupischSeries, m: UniserialModule) -> bool:
     return tiles == body
 
 
+def oracle_interval_count(deltas, n, j, length):
+    """How many consecutive base intervals from index j tile ``length``, by adding lengths.
+
+    Whole turns of the cycle (n vertices) count ``len(deltas)`` intervals at
+    once; the rest is walked interval by interval until the sum reaches or
+    passes it.  None when it passes.
+    """
+    turns, rest = divmod(length, n)
+    r = len(deltas)
+    count = turns * r
+    total = 0
+    while total < rest:
+        total += deltas[(j + count) % r].length
+        count += 1
+    return count if total == rest else None
+
+
 def oracle_quasi_hereditary(series: KupischSeries) -> bool:
     """Quasi-heredity by its definition, searched on the explicit path basis.
 

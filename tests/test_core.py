@@ -73,6 +73,30 @@ def test_validate_rejects(kind, c, err):
         validate(kind, c)
 
 
+@pytest.mark.parametrize(
+    "kind, c, err, message",
+    [
+        pytest.param(CYCLIC, (2, 1, 2), ShortProjective,
+                     "cyclic series needs c_i >= 2, got c_2 = 1", id="cyclic-short"),
+        pytest.param(CYCLIC, (4, 2, 3), StepViolation, "c_2 = 2 < c_1 - 1 = 3", id="cyclic-step"),
+        pytest.param(CYCLIC, (2, 3, 4), StepViolation, "c_1 = 2 < c_3 - 1 = 3",
+                     id="cyclic-step-wrap"),
+        pytest.param(LINEAR, (2, 2, 2), BadTail, "linear series must end in 1, got c_3 = 2",
+                     id="linear-tail"),
+        pytest.param(LINEAR, (2, 1, 2, 1), ShortProjective,
+                     "linear series needs c_i >= 2 for i < n, got c_2 = 1", id="linear-short"),
+        pytest.param(LINEAR, (2, 5, 3, 2, 1), BadTail, "c_2 = 5 exceeds n - i + 1 = 4",
+                     id="linear-bound"),
+        pytest.param(LINEAR, (2, 4, 2, 2, 1), StepViolation, "c_3 = 2 < c_2 - 1 = 3",
+                     id="linear-step"),
+    ],
+)
+def test_each_kupisch_rule_words_its_error(kind, c, err, message):
+    with pytest.raises(err) as exc:
+        validate(kind, c)
+    assert str(exc.value) == message
+
+
 def test_validate_degenerate_endpoints():
     assert validate(LINEAR, (1,)).is_semisimple
     assert validate(CYCLIC, (5,)).is_selfinjective

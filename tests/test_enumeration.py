@@ -267,10 +267,35 @@ def test_census_row_structure():
 
 def test_census_csv_and_json():
     table = census([3], CYCLIC)
-    csv = table.to_csv()
-    assert csv.splitlines()[0] == "n,kind,r,enumerated,closed_form,fibonacci,violations"
-    assert any(line.startswith("3,cyclic,") for line in csv.splitlines()[1:])
+    assert table.to_csv() == (
+        "n,kind,r,enumerated,closed_form,fibonacci,violations\n"
+        "3,cyclic,1,2,2,,0\n"
+        "3,cyclic,2,1,1,,0\n"
+        "3,cyclic,,3,,3,0\n"
+    )
+    row = {"n": 3, "kind": "cyclic", "violations": []}
+    assert table.to_dict() == {"kind": "cyclic", "rows": [
+        {**row, "r": 1, "enumerated": 2, "closed_form": 2, "fibonacci": None},
+        {**row, "r": 2, "enumerated": 1, "closed_form": 1, "fibonacci": None},
+        {**row, "r": None, "enumerated": 3, "closed_form": None, "fibonacci": 3},
+    ]}
     assert table.to_json() == census([3], CYCLIC).to_json()
+
+
+def test_tally_rows_can_be_read_twice():
+    tally = _MaximalTally(3, CYCLIC)
+    series = KupischSeries(CYCLIC, (4, 3, 2))  # maximal; (3, 2, 2) and (5, 4, 3) stay unfed
+    tally.add(series, True, kupisch_to_relations(series).r, ["a chain violation"])
+    first = tally.rows()
+    assert first[-1].violations == (
+        "a chain violation",
+        "n=3 r=1 cyclic: 1 maximal != 2 chains",
+        "n=3 r=2 cyclic: 0 maximal != 1 chains",
+        "n=3 cyclic: chain/maximal sets differ at [(3, 2, 2), (5, 4, 3)]",
+        "n=3 cyclic: total 1 != Fibonacci 3",
+    )
+    assert tally.rows() == first
+    assert tally.violations == ["a chain violation"]
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nakayama.filtration
 from nakayama import (
     CYCLIC,
     INFINITE,
@@ -18,12 +20,12 @@ from nakayama import (
     syzygy,
     validate,
 )
-from nakayama.errors import NotCyclic, NotFiltered, SelfinjectiveInput
-from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
+from nakayama.errors import FiltrationMismatch, NotCyclic, NotFiltered, SelfinjectiveInput
+from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _interval_count
 from nakayama.homology import all_modules
 
 from conftest import cyclic_series
-from oracles import oracle_tiled
+from oracles import oracle_interval_count, oracle_tiled
 
 
 def nonselfinjective_cyclic(n_max, cap=None):
@@ -100,6 +102,13 @@ def test_epsilon_can_disconnect():
 def test_epsilon_vertex_count_is_relation_count():
     for series in nonselfinjective_cyclic(6):
         assert epsilon(series).vertex_count == len(kupisch_to_relations(series).relations)
+
+
+def test_epsilon_reports_a_projective_that_is_not_tiled(monkeypatch):
+    monkeypatch.setattr(nakayama.filtration, "_interval_count", lambda basis, n, j, length: None)
+    with pytest.raises(FiltrationMismatch) as exc:
+        epsilon(validate(CYCLIC, (3, 4, 4)))
+    assert str(exc.value) == "interval lengths of [3,4,4] never sum to c_1 = 3"
 
 
 def test_tower_examples():
@@ -179,6 +188,35 @@ def test_delta_filtration_agrees_with_the_tiling_oracle(n):
                 else:
                     assert oracle_tiled(series, m), (series, m)
     assert untiled
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_interval_count_agrees_with_the_summing_walk(n):
+    # every interval index and length 1..3n + 1, at the default cap and cap n + 3
+    untiled = 0
+    for cap in (None, n + 3):
+        for series in enumerate_cyclic(n, cap):
+            if series.is_selfinjective:
+                continue
+            basis = base_set(series)
+            for j in range(len(basis.deltas)):
+                for length in range(1, 3 * n + 2):
+                    expected = oracle_interval_count(basis.deltas, n, j, length)
+                    assert _interval_count(basis, n, j, length) == expected, (series, j, length)
+                    untiled += expected is None
+    assert untiled
+
+
+@given(cyclic_series(max_n=12, max_entry=10**12), st.data())
+@settings(max_examples=200)
+def test_interval_count_agrees_with_the_summing_walk_on_large_entries(series, data):
+    if series.is_selfinjective:
+        return
+    basis, n = base_set(series), series.n
+    j = data.draw(st.integers(0, len(basis.deltas) - 1))
+    length = data.draw(st.integers(0, 10**12)) * n + data.draw(st.integers(1, n))
+    expected = oracle_interval_count(basis.deltas, n, j, length)
+    assert _interval_count(basis, n, j, length) == expected
 
 
 # ---------------------------------------------------------------------------
