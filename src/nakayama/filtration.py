@@ -7,10 +7,9 @@ tile the cycle (the base set).  As they tile it, the intervals from
 interval j on (top t_j) cover length L exactly when the last vertex
 covered, (t_j + L - 2) mod n + 1, is a socle vertex s_k, and then there
 are (L - 1) // n * r + (k - j) mod r + 1 of them (r intervals in all).
-Every second syzygy is so tiled, and so every higher one:
-two steps of M(t, l) -> M(t + l, c_t - l) give, read mod n,
-Omega^2 M(t, l) = M(t + c_t, c_{t+l} - c_t + l), whose top follows the
-socle of P_t and whose socle is the socle of P_{t+l}.  Counting intervals
+Every second syzygy is so tiled, and so every higher one: by the jump
+in the ``homology`` docstring, Omega^2 M(t, l) has top t + c_t, just past
+the socle of P_t, and ends at the socle of P_{t+l}.  Counting intervals
 instead of composition factors yields a smaller Nakayama algebra whose
 module category models the interval-filtered modules.  Iterating the
 construction terminates in a selfinjective algebra exactly when the global

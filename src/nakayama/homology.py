@@ -5,6 +5,19 @@ deterministic function on the finite state space of uniserial modules: an
 orbit either reaches a projective (finite pd) or revisits a state (infinite
 pd).  ``math.inf`` is used for the infinite value so comparisons and
 ``max()`` behave naturally; JSON output encodes it as the string "inf".
+
+The walks here take two steps at a time.  Two steps of ``core._syzygy_step``,
+M(t, l) -> M(t + l, c_t - l), read mod n, give the jump
+
+    Omega^2 M(t, l) = M(t + c_t, d),  d = c_{t+l} - c_t + l,
+
+where d = 0 means that Omega M is already projective, so pd M = 1.  The
+step rule c_{v+1} >= c_v - 1, applied along P_t, gives 0 <= d <= c_{t+c_t};
+conversely d >= 0 for every M(v, 1) is the rule itself.  The new top t + c_t
+depends on t alone (the arrow of Ringel's resolution quiver, J. Algebra
+2013), so the pds of the modules with top t follow from those with top
+t + c_t.  On a line, where c_v <= n - v + 1, a projective P_t that reaches
+the sink (t + c_t = n + 1) forces d = 0: each non-projective M(t, l) has pd 1.
 """
 
 from __future__ import annotations
@@ -19,7 +32,6 @@ from .core import (
     LINEAR,
     KupischSeries,
     UniserialModule,
-    _syzygy_step,
     check_module,
 )
 from .errors import InfiniteGlobalDimension, InternalError
@@ -39,11 +51,11 @@ def projective_dimension(series: KupischSeries, m: UniserialModule, memo=None):
 
 
 def _pd_walk(c, top, length, memo):
-    """The walk of ``projective_dimension`` from the valid module M(top, length)."""
-    path = []
-    on_path = set()
+    """The walk of ``projective_dimension`` from the valid module M(top, length), by the jump."""
+    n, path, on_path = len(c), [], set()
     while True:
-        if length == c[top - 1]:
+        ct = c[top - 1]
+        if length == ct:
             base = 0
             break
         key = (top, length)
@@ -53,11 +65,18 @@ def _pd_walk(c, top, length, memo):
         if key in on_path:
             base = INFINITE
             break
+        new_top, d = (top - 1 + ct) % n + 1, c[(top - 1 + length) % n] - ct + length
+        if not 0 <= d <= c[new_top - 1]:
+            raise InternalError(f"Omega^2 M({top},{length}) over [{','.join(map(str, c))}]"
+                                f" is not a module: M({new_top},{d})")
+        if d == 0:
+            base = memo[key] = 1
+            break
         on_path.add(key)
         path.append(key)
-        top, length = _syzygy_step(c, top, length)
+        top, length = new_top, d
     for key in reversed(path):
-        base = base + 1  # INFINITE + 1 == INFINITE
+        base = base + 2  # INFINITE + 2 == INFINITE
         memo[key] = base
     return base
 
@@ -69,20 +88,32 @@ def pd_simples(series: KupischSeries) -> tuple:
 
 
 def _module_table(series: KupischSeries) -> list:
-    """Every module's pd at [top - 1][length - 1]; each module is stepped at most once."""
-    c = series.c
-    table = [[None] * (ct - 1) + [0] for ct in c]
-    for start, row in enumerate(table, 1):
-        for start_length in range(1, len(row)):
-            top, length, path = start, start_length, []
-            while (pd := table[top - 1][length - 1]) is None:
-                table[top - 1][length - 1] = -1  # on the current path
-                path.append((top, length))
-                top, length = _syzygy_step(c, top, length)
-            base = INFINITE if pd == -1 else pd
-            for top, length in reversed(path):
-                base = base + 1  # INFINITE + 1 == INFINITE
-                table[top - 1][length - 1] = base
+    """Every module's pd at [top - 1][length - 1], one row per top, by the jump.
+
+    Row t reads only row t + c_t, so the rows on the path t -> t + c_t -> ...
+    up to a filled row are filled in reverse; a path that closes a new cycle
+    fills its last row by ``_pd_walk``.  One pass checks the step rule first.
+    """
+    c, n, linear = series.c, series.n, series.kind == LINEAR
+    for v in range(n - 1 if linear else n):
+        if c[(v + 1) % n] < c[v] - 1:
+            raise InternalError(f"[{','.join(map(str, c))}] drops by more than 1"
+                                f" from vertex {v + 1}")
+    table = [[1] * (cv - 1) + [0] if linear and v + cv >= n else None for v, cv in enumerate(c)]
+    memo = {}
+    for start in range(n):
+        path, t = [], start
+        while table[t] is None:
+            table[t] = path  # marks the rows on the current path
+            path.append(t)
+            t = (t + c[t]) % n
+        if table[t] is path:  # a new cycle closes at row t
+            table[t] = [_pd_walk(c, t + 1, length, memo) for length in range(1, c[t])] + [0]
+            path.remove(t)
+        for t in reversed(path):
+            ct, after = c[t], table[(t + c[t]) % n]
+            table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0 else 2 + after[d - 1]
+                        for length in range(1, ct)] + [0]
     return table
 
 

@@ -40,6 +40,16 @@ def _shards(n: int, cap=None) -> list:
     return cyclic + [(LINEAR, 0)] if n >= 2 else cyclic
 
 
+class _lazy(cached_property):
+    """A ``cached_property`` without the lock that it takes before Python 3.12."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class _Profile:
     """One algebra and what the suites read about it, each computed on first use."""
 
@@ -47,13 +57,13 @@ class _Profile:
         self.series, self.tabled = series, tabled  # tabled: madsen runs; it alone reads the table
         self.reduced = {} if reduced is None else reduced  # series -> profile, one dict per shard
 
-    table = cached_property(lambda self: _module_table(self.series))
-    report = cached_property(  # from the table only when it is built anyway
+    table = _lazy(lambda self: _module_table(self.series))
+    report = _lazy(  # from the table only when it is built anyway
         lambda self: homology_report(self.series, self.table if self.tabled else None))
-    relations = cached_property(lambda self: kupisch_to_relations(self.series))
-    chain = cached_property(lambda self: is_chain(self.relations))
-    step = cached_property(lambda self: epsilon(self.series))  # the first reduction
-    terminal = cached_property(lambda self: (  # epsilon_tower(series).terminal, tail shared
+    relations = _lazy(lambda self: kupisch_to_relations(self.series))
+    chain = _lazy(lambda self: is_chain(self.relations))
+    step = _lazy(lambda self: epsilon(self.series))  # the first reduction
+    terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.series.is_selfinjective else
         self.of(self.step.algebra).terminal if self.step.is_cyclic else TERMINAL_LINEAR))
 
@@ -166,7 +176,7 @@ class _Sweep:
     def __init__(self, names, n: int, cap=None, shards=None):
         self.names, self.n, self.cap, self.shards = names, n, cap, shards
 
-    @cached_property
+    @_lazy
     def results(self) -> dict:
         shards = self.shards
         if shards is None:

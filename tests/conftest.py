@@ -10,10 +10,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @st.composite
-def cyclic_series(draw, max_n=6, max_entry=9):
+def cyclic_series(draw, max_n=6, max_entry=9, min_n=1):
     # build a rotation whose first entry is the maximum (closure is then
     # automatic), then rotate by a random offset to cover all labellings
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     first = draw(st.integers(min_value=2, max_value=max_entry))
     c = [first]
     for _ in range(n - 1):

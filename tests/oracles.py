@@ -14,6 +14,7 @@ import itertools
 import math
 
 from nakayama import CYCLIC, LINEAR, KupischSeries, RelationSystem, UniserialModule
+from nakayama.core import _syzygy_step
 
 
 def projective_vertices(series: KupischSeries, top: int) -> tuple[int, ...]:
@@ -54,6 +55,29 @@ def oracle_pd(series: KupischSeries, m: UniserialModule):
         seen.add(body)
         current = oracle_syzygy(series, current)
         steps += 1
+
+
+def oracle_module_table(series: KupischSeries) -> list:
+    """Every module's pd at [top - 1][length - 1], one syzygy step at a time.
+
+    Each module is stepped at most once: a walk stops at a module already
+    known, and -1 marks the modules on the current walk, so reaching one
+    closes a cycle of infinite pd.
+    """
+    c = series.c
+    table = [[None] * (ct - 1) + [0] for ct in c]
+    for start, row in enumerate(table, 1):
+        for start_length in range(1, len(row)):
+            top, length, path = start, start_length, []
+            while (pd := table[top - 1][length - 1]) is None:
+                table[top - 1][length - 1] = -1  # on the current path
+                path.append((top, length))
+                top, length = _syzygy_step(c, top, length)
+            base = math.inf if pd == -1 else pd
+            for top, length in reversed(path):
+                base = base + 1
+                table[top - 1][length - 1] = base
+    return table
 
 
 def oracle_tiled(series: KupischSeries, m: UniserialModule) -> bool:

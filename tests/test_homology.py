@@ -1,8 +1,13 @@
 import dataclasses
+import functools
 import json
+import random
+import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakayama import (
     CYCLIC,
@@ -22,11 +27,12 @@ from nakayama import (
     projective_dimension,
     validate,
 )
-from nakayama.errors import InfiniteGlobalDimension
-from nakayama.homology import _module_table, all_modules
+from nakayama.core import _syzygy_step
+from nakayama.errors import InfiniteGlobalDimension, InternalError
+from nakayama.homology import _module_table, _pd_walk, all_modules
 
-from conftest import any_series, enumerated_series
-from oracles import oracle_pd, oracle_quasi_hereditary
+from conftest import any_series, cyclic_series, enumerated_series, linear_series
+from oracles import oracle_module_table, oracle_pd, oracle_quasi_hereditary
 
 
 def all_algebras(n_max, cap=None):
@@ -87,6 +93,91 @@ def test_module_table_matches_the_oracles(n):
         assert [len(row) for row in table] == list(series.c)
         for m in all_modules(series):
             assert table[m.top - 1][m.length - 1] == oracle_pd(series, m), (series, m)
+
+
+@functools.lru_cache(maxsize=None)
+def small_algebras():
+    """``conftest.enumerated_series`` with n <= 6: cyclic at the default cap and
+    up to entries 3n + 1 (so past n + 3), and every linear series."""
+    return tuple(s for s in enumerated_series() if s.n <= 6)
+
+
+def test_module_table_matches_the_single_step_walk():
+    for series in small_algebras():
+        assert _module_table(series) == oracle_module_table(series), series
+
+
+def _on_a_cycle(series, t):
+    """Whether row t (0-based) lies on a cycle of t -> t + c_t, which a line has none of."""
+    c, n, u = series.c, series.n, t
+    for _ in range(n if series.kind == CYCLIC else 0):
+        u = (u + c[u]) % n
+        if u == t:
+            return True
+    return False
+
+
+def test_module_table_matches_the_single_step_walk_on_drawn_series():
+    rows = Counter()  # (kind, on a cycle) of every drawn row
+
+    @given(st.one_of(
+        st.integers(1, 10).flatmap(
+            lambda n: cyclic_series(min_n=n, max_n=n, max_entry=3 * n + 1)),
+        linear_series(max_n=12)))
+    @settings(max_examples=300)
+    def check(series):
+        assert _module_table(series) == oracle_module_table(series)
+        rows.update((series.kind, _on_a_cycle(series, t)) for t in range(series.n))
+
+    check()
+    # rows on a cycle come from the walk, the others from the row they jump to
+    assert rows[CYCLIC, True] and rows[CYCLIC, False] and rows[LINEAR, False]
+
+
+def test_the_jump_is_two_syzygy_steps():
+    # the homology docstring's Omega^2 M(t, l) = M(t + c_t, d), d = c_{t+l} - c_t + l,
+    # with d = 0 exactly when Omega M is projective
+    jumps = 0
+    for series in small_algebras():
+        c, n = series.c, series.n
+        for m in all_modules(series):
+            t, l = m.top, m.length
+            if l == c[t - 1]:
+                continue
+            d = c[(t + l - 1) % n] - c[t - 1] + l
+            top, length = _syzygy_step(c, t, l)
+            if length == c[top - 1]:
+                assert d == 0, (series, m)
+            else:
+                assert _syzygy_step(c, top, length) == ((t + c[t - 1] - 1) % n + 1, d), (series, m)
+                jumps += 1
+    assert jumps
+
+
+def test_pd_with_one_shared_memo_in_shuffled_order_matches_the_single_step_walk():
+    rng = random.Random(5)
+    for series in small_algebras():
+        table, memo = oracle_module_table(series), {}
+        modules = list(all_modules(series))
+        rng.shuffle(modules)
+        for m in modules:
+            assert projective_dimension(series, m, memo) == table[m.top - 1][m.length - 1], (
+                series, m)
+
+
+@pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
+def test_a_table_of_a_series_that_drops_by_two_is_an_internal_error(kind):
+    # KupischSeries refuses (4, 2, 2), so only a bug inside the package could pass it
+    stand_in = types.SimpleNamespace(kind=kind, c=(4, 2, 2), n=3)
+    with pytest.raises(InternalError):
+        _module_table(stand_in)
+
+
+@pytest.mark.parametrize("c", [(4, 2, 2), (2, 4, 2)])
+def test_a_jump_that_leaves_the_modules_is_an_internal_error(c):
+    # over (4, 2, 2) Omega M(1, 1) is too long; over (2, 4, 2) Omega^2 M(1, 1) is
+    with pytest.raises(InternalError):
+        _pd_walk(c, 1, 1, {})
 
 
 @given(any_series(max_n=4, max_entry=7))

@@ -28,8 +28,8 @@ from nakayama import (
 from nakayama.enumeration import _cyclic_with_first
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
 from nakayama.homology import _module_table
-from nakayama.verify import (SUITES, run_suites, _CHECKS, _Profile, _shards, _sweep_shard,
-                             _SUITE_FUNCTIONS)
+from nakayama.verify import (SUITES, run_suites, _CHECKS, _lazy, _Profile, _shards, _Sweep,
+                             _sweep_shard, _SUITE_FUNCTIONS)
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -195,6 +195,44 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert results["chain"][1].count(text) == 1
     assert results["fibonacci"][1].count(text) == 1
     assert census([3], CYCLIC).violations.count(text) == 1
+
+
+_PROFILE_FIELDS = ("table", "report", "relations", "chain", "step", "terminal")
+
+
+def test_lazy_fields_read_on_the_class_are_their_descriptors():
+    for name in _PROFILE_FIELDS:
+        assert isinstance(getattr(_Profile, name), _lazy)
+    assert isinstance(_Sweep.results, _lazy)
+
+
+def test_each_profile_field_is_computed_once(monkeypatch):
+    calls = []  # (profile, field); keeps every profile alive, so ids are not reused
+    for name in _PROFILE_FIELDS:
+        counted = _lazy(lambda p, name=name, compute=getattr(_Profile, name).func:
+                        calls.append((p, name)) or compute(p))
+        counted.__set_name__(_Profile, name)
+        monkeypatch.setattr(_Profile, name, counted)
+    profile = _Profile(KupischSeries(CYCLIC, (4, 4, 3)), tabled=True)  # reduces to [2,3]
+    first = [getattr(profile, name) for name in _PROFILE_FIELDS]
+    assert all(getattr(profile, name) is value for name, value in zip(_PROFILE_FIELDS, first))
+    assert [name for p, name in calls if p is profile] == list(_PROFILE_FIELDS)
+    assert len(profile.reduced) >= 1 and max(Counter(calls).values()) == 1
+
+
+def test_a_sweep_runs_once_however_often_it_is_read(monkeypatch):
+    calls = []
+
+    def counted(*task):
+        calls.append(task)
+        return _sweep_shard(*task)
+
+    monkeypatch.setattr(nakayama.verify, "_sweep_shard", counted)
+    sweep = _Sweep(SUITES, 4)
+    assert calls == []  # nothing is swept until a suite reads it
+    first = [_SUITE_FUNCTIONS[name](4, None, sweep) for name in SUITES]
+    assert [_SUITE_FUNCTIONS[name](4, None, sweep) for name in SUITES] == first
+    assert len(calls) == len(_shards(4))
 
 
 def test_one_base_set_per_algebra(monkeypatch):
