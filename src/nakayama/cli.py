@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import (
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kind_flags(p)
     p.add_argument("-n", type=int, required=True, help="number of vertices")
     p.add_argument("--cap", type=int, default=None,
-                   help="entry cap for cyclic series (default 2n-1)")
+                   help="cyclic entry cap (default 2n-1; a higher cap adds only infinite gldim)")
     p.add_argument("--filter", choices=("all", "qh", "maximal"), default="all")
     p.add_argument("--list", action="store_true", help="print canonical series")
     p.add_argument("--format", choices=("table", "json"), default="table")
@@ -97,9 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of: {','.join(SUITES)} (or 'all')")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--cap", type=int, default=None,
-                   help="entry cap for cyclic series (default 2n-1)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default $NAKAYAMA_JOBS or 1)")
+                   help="cyclic entry cap (default 2n-1; a higher cap adds only infinite gldim)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.set_defaults(func=cmd_verify)
 
@@ -205,14 +203,7 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.theorems == "all" else [
         t.strip() for t in args.theorems.split(",") if t.strip()
     ]
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("NAKAYAMA_JOBS") or "1"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise NakayamaError(f"NAKAYAMA_JOBS must be an integer, got {env!r}") from None
-    results = run_suites(names, args.n_max, cap=args.cap, jobs=jobs)
+    results = run_suites(names, args.n_max, cap=args.cap, jobs=args.jobs)
     total = sum(len(v) for _, v in results.values())
     if args.format == "json":
         payload = {

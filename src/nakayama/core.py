@@ -88,10 +88,6 @@ class KupischSeries:
         return len(self.c)
 
     @property
-    def is_cyclic(self) -> bool:
-        return self.kind == CYCLIC
-
-    @property
     def is_selfinjective(self) -> bool:
         """Constant cyclic series; always False for linear kind."""
         return self.kind == CYCLIC and len(set(self.c)) == 1
@@ -168,31 +164,23 @@ def composition_factors(series: KupischSeries, m: UniserialModule) -> tuple[int,
     return tuple((m.top - 1 + t) % series.n + 1 for t in range(m.length))
 
 
-def _syzygy_step(c, top, length):
-    """(top, length) of the syzygy of the non-projective M(top, length).
-
-    The step constraint on the series guarantees the result is again a
-    valid module; a result that is not raises InternalError.
-    """
-    # on a line length < c_top <= n - top + 1, so top + length never wraps
-    new_top = (top - 1 + length) % len(c) + 1
-    new_length = c[top - 1] - length
-    if new_length > c[new_top - 1]:
-        raise InternalError(f"syzygy of M({top},{length}) over [{','.join(map(str, c))}]"
-                            f" is too long: M({new_top},{new_length})")
-    return new_top, new_length
-
-
 def syzygy(series: KupischSeries, m: UniserialModule) -> UniserialModule | None:
     """Kernel of the projective cover, or None when the module is projective.
 
     For M(t, l) over the projective of length c_t the kernel is the radical
-    power rad^l, which is uniserial with top t + l and length c_t - l.
+    power rad^l, which is uniserial with top t + l and length c_t - l.  The
+    step rule makes it a valid module; InternalError says that it did not.
     """
     check_module(series, m)
-    if m.length == series.c[m.top - 1]:
+    c = series.c
+    if m.length == c[m.top - 1]:
         return None
-    return UniserialModule(*_syzygy_step(series.c, m.top, m.length))
+    # on a line length < c_top <= n - top + 1, so top + length never wraps
+    top, length = (m.top - 1 + m.length) % len(c) + 1, c[m.top - 1] - m.length
+    if length > c[top - 1]:
+        raise InternalError(f"syzygy of {m} over [{','.join(map(str, c))}]"
+                            f" is too long: M({top},{length})")
+    return UniserialModule(top, length)
 
 
 # ---------------------------------------------------------------------------

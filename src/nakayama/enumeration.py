@@ -1,15 +1,22 @@
 """Exhaustive generation of isomorphism classes and the census routes.
 
 Cyclic algebras are enumerated one representative per rotation class
-(canonical forms only).  For n <= 6 the default entry cap 2n-1 reaches
-every cyclic algebra of finite global dimension, hence every
-quasi-hereditary one: no finite-gldim class with entries up to 3n+1 has an
-entry above 2n-1, an observation pinned by a test rather than proved.  The
-census counts the algebras whose global dimension attains Brown's bound
-through three independent routes: brute-force homology over the
-enumeration (fed to ``_MaximalTally`` by the verify sweep, see
-``nakayama.verify.census``), direct enumeration of chain systems, and
-closed-form binomials summing to Fibonacci numbers.
+(canonical forms only).  A cap above the default 2n-1 adds only algebras of
+infinite global dimension: (a) an entry of at least 2n makes every entry
+exceed n, as entries drop by at most 1 per step and each vertex is at most
+n - 1 steps after the largest; (b) then, unless A is selfinjective, entry j
+of eps(A) counts the intervals tiling the projective of length c > n at
+interval top j, which the ``filtration`` docstring puts at
+(c - 1) // n * r + (k - j) mod r + 1 > r, so eps(A) is cyclic with every
+entry above its vertex count r; (c) so by induction the tower never turns
+linear and, as the vertex count drops at each step, ends selfinjective.  By
+the tower theorem (finite gldim iff the tower ends linear; E. Sen, on
+syzygy filtrations of cyclic Nakayama algebras), which the ``epsilon``
+suite checks only below the cap, A has infinite gldim.  The census counts
+the algebras attaining Brown's bound through three independent routes:
+brute-force homology over the enumeration (fed to ``_MaximalTally`` by the
+verify sweep, see ``nakayama.verify.census``), direct enumeration of chain
+systems, and closed-form binomials summing to Fibonacci numbers.
 """
 
 from __future__ import annotations
@@ -113,29 +120,11 @@ def _cyclic_with_first(n: int, first: int):
 # Chain systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainSystem:
-    """A relation system in chain-normalized form.
-
-    ``endpoints`` lists the stored relations as (start, end) with plain
-    integer ends; for the cyclic kind the first start is pinned at 1 and
-    all ends are at most n.  ``r`` is the conventional relation count
-    (stored + 1 for linear).
-    """
-
-    kind: str
-    n: int
-    endpoints: tuple[tuple[int, int], ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.endpoints) + (1 if self.kind == LINEAR else 0)
-
-    def to_relation_system(self) -> RelationSystem:
-        return RelationSystem(self.kind, self.n, self.endpoints)
+class ChainSystem(RelationSystem):
+    """A chain-normalized relation system: on a cycle the first start is 1, every end at most n."""
 
     def to_kupisch(self) -> KupischSeries:
-        return canonical_form(relations_to_kupisch(self.to_relation_system()))
+        return canonical_form(relations_to_kupisch(self))
 
 
 def is_chain(system: RelationSystem) -> bool:
@@ -160,11 +149,10 @@ def is_chain(system: RelationSystem) -> bool:
 def enumerate_chains(n: int, r: int, kind: str):
     """All chain systems with n vertices and r relations, normalized labels.
 
-    The count equals ``count_closed_form(n, r, kind)``.
+    The count equals ``count_closed_form(n, r, kind)``, which also checks the arguments.
     """
-    if n < 2 or not 1 <= r <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
-    stored = r if check_kind(kind) == CYCLIC else r - 1
+    count_closed_form(n, r, kind)
+    stored = r if kind == CYCLIC else r - 1
     last_end = n if kind == CYCLIC else n - 1
 
     def extend(pairs):

@@ -6,7 +6,7 @@ orbit either reaches a projective (finite pd) or revisits a state (infinite
 pd).  ``math.inf`` is used for the infinite value so comparisons and
 ``max()`` behave naturally; JSON output encodes it as the string "inf".
 
-The walks here take two steps at a time.  Two steps of ``core._syzygy_step``,
+The walks here take two steps at a time.  Two steps of ``core.syzygy``,
 M(t, l) -> M(t + l, c_t - l), read mod n, give the jump
 
     Omega^2 M(t, l) = M(t + c_t, d),  d = c_{t+l} - c_t + l,

@@ -135,20 +135,30 @@ def _epsilon(profile):
     return violations
 
 
-_CHECKS = {  # suite -> (noun for the algebras it checks, predicate)
-    "sconnected-qh": ("algebras", _sconnected_qh),
-    "brown": ("quasi-hereditary algebras", _brown),
-    "generalized-inequality": ("algebras", lambda p: check_inequalities(p.series, p.report)),
-    "madsen": ("algebras", _madsen),
-    "parity": ("finite-gldim algebras", _parity),
-    "chain": ("algebras", _chain),
-    "epsilon": ("cyclic non-selfinjective algebras", _epsilon),
+_SUITES = {  # suite -> (its theorem, noun for the algebras it checks, predicate or None)
+    "sconnected-qh": (
+        "S-connected iff quasi-hereditary, on every connected non-semisimple algebra.",
+        "algebras", _sconnected_qh),
+    "brown": ("Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic).",
+              "quasi-hereditary algebras", _brown),
+    "generalized-inequality": (
+        "gldim <= a + lambda_c for every attained c, plus the linear sink bound.",
+        "algebras", lambda p: check_inequalities(p.series, p.report)),
+    "madsen": ("Odd-pd modules attain their pd on a composition factor.", "algebras", _madsen),
+    "parity": ("Odd attainment and even interpolation of simple pd values.",
+               "finite-gldim algebras", _parity),
+    "chain": ("Maximal global dimension iff the defining relations form a chain.",
+              "algebras", _chain),
+    "fibonacci": ("Census counts match the Fibonacci values, all three routes agreeing.",
+                  None, None),
+    "epsilon": ("Tower terminal, vertex count, dimension drop by two, and reduction shape.",
+                "cyclic non-selfinjective algebras", _epsilon),
 }
 
 
 def _sweep_shard(names, n: int, kind: str, first: int):
     """One shard's raw results: {suite: [algebras checked, violations]} and its census tally."""
-    checks = {name: _CHECKS[name][1] for name in names if name in _CHECKS}
+    checks = {name: _SUITES[name][2] for name in names if _SUITES[name][2]}
     found = {name: [0, []] for name in checks}
     fibonacci, tally = "fibonacci" in names, _MaximalTally(n, kind)
     tabled, reduced = "madsen" in checks, {}
@@ -181,9 +191,9 @@ class _Sweep:
         shards = self.shards
         if shards is None:
             shards = [_sweep_shard(self.names, self.n, *s) for s in _shards(self.n, self.cap)]
-        results = {name: (f"{sum(found[name][0] for found, _ in shards)} {_CHECKS[name][0]}",
+        results = {name: (f"{sum(found[name][0] for found, _ in shards)} {_SUITES[name][1]}",
                           [v for found, _ in shards for v in found[name][1]])
-                   for name in self.names if name in _CHECKS}
+                   for name in self.names if _SUITES[name][2]}
         if "fibonacci" in self.names:
             tallies = {kind: _MaximalTally(self.n, kind, self.cap) for kind in (CYCLIC, LINEAR)}
             for _, tally in shards:
@@ -228,18 +238,7 @@ def _suite(name: str, statement: str):
     return suite
 
 
-_SUITE_FUNCTIONS = {name: _suite(name, statement) for name, statement in (
-    ("sconnected-qh",
-     "S-connected iff quasi-hereditary, on every connected non-semisimple algebra."),
-    ("brown", "Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic)."),
-    ("generalized-inequality",
-     "gldim <= a + lambda_c for every attained c, plus the linear sink bound."),
-    ("madsen", "Odd-pd modules attain their pd on a composition factor."),
-    ("parity", "Odd attainment and even interpolation of simple pd values."),
-    ("chain", "Maximal global dimension iff the defining relations form a chain."),
-    ("fibonacci", "Census counts match the Fibonacci values, all three routes agreeing."),
-    ("epsilon", "Tower terminal, vertex count, dimension drop by two, and reduction shape."),
-)}
+_SUITE_FUNCTIONS = {name: _suite(name, statement) for name, (statement, _, _) in _SUITES.items()}
 globals().update({suite.__name__: suite for suite in _SUITE_FUNCTIONS.values()})
 SUITES = tuple(_SUITE_FUNCTIONS)
 

@@ -14,7 +14,6 @@ import itertools
 import math
 
 from nakayama import CYCLIC, LINEAR, KupischSeries, RelationSystem, UniserialModule
-from nakayama.core import _syzygy_step
 
 
 def projective_vertices(series: KupischSeries, top: int) -> tuple[int, ...]:
@@ -58,7 +57,7 @@ def oracle_pd(series: KupischSeries, m: UniserialModule):
 
 
 def oracle_module_table(series: KupischSeries) -> list:
-    """Every module's pd at [top - 1][length - 1], one syzygy step at a time.
+    """Every module's pd at [top - 1][length - 1], one ``oracle_syzygy`` step at a time.
 
     Each module is stepped at most once: a walk stops at a module already
     known, and -1 marks the modules on the current walk, so reaching one
@@ -72,7 +71,8 @@ def oracle_module_table(series: KupischSeries) -> list:
             while (pd := table[top - 1][length - 1]) is None:
                 table[top - 1][length - 1] = -1  # on the current path
                 path.append((top, length))
-                top, length = _syzygy_step(c, top, length)
+                omega = oracle_syzygy(series, UniserialModule(top, length))
+                top, length = omega.top, omega.length
             base = math.inf if pd == -1 else pd
             for top, length in reversed(path):
                 base = base + 1

@@ -145,7 +145,7 @@ def test_verify_violation_exits_2(capsys, monkeypatch):
     def broken(profile):
         return ["fake counterexample [9,9]"]
 
-    monkeypatch.setitem(verify_mod._CHECKS, "brown", ("algebras", broken))
+    monkeypatch.setitem(verify_mod._SUITES, "brown", (*verify_mod._SUITES["brown"][:2], broken))
     code, out, _ = run(capsys, "verify", "--theorems", "brown", "--n-max", "3")
     assert code == 2
     assert "fake counterexample [9,9]" in out
@@ -180,23 +180,6 @@ def test_verify_jobs_do_not_change_output(capsys):
     _, par, _ = run(capsys, "verify", "--theorems", "chain,fibonacci", "--n-max", "4",
                     "--jobs", "2")
     assert seq == par
-
-
-def test_verify_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("NAKAYAMA_JOBS", "2")
-    code, out, _ = run(capsys, "verify", "--theorems", "fibonacci", "--n-max", "3")
-    assert code == 0
-    assert "fibonacci: ok" in out
-
-
-@pytest.mark.parametrize("value, message", [("0", "jobs must be at least 1, got 0"),
-                                            ("abc", "NAKAYAMA_JOBS must be an integer")])
-def test_verify_rejects_bad_jobs_env(capsys, monkeypatch, value, message):
-    monkeypatch.setenv("NAKAYAMA_JOBS", value)
-    code, out, err = run(capsys, "verify", "--theorems", "fibonacci", "--n-max", "3")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and message in err
 
 
 def test_verify_csv(capsys):

@@ -1,5 +1,8 @@
+import ast
 import itertools
+import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -26,6 +29,7 @@ from nakayama.core import format_kupisch, format_relations, parse_kupisch, parse
 from nakayama.errors import (
     BadTail,
     EmptyCyclicSystem,
+    InternalError,
     InvalidModule,
     NakayamaError,
     RedundantRelations,
@@ -33,6 +37,7 @@ from nakayama.errors import (
     StepViolation,
 )
 
+import oracles
 from conftest import any_series, cyclic_series, enumerated_series, series_with_module
 from oracles import (
     brute_force_cyclic,
@@ -206,7 +211,7 @@ def test_round_trip_exhaustive():
 
 def test_one_pass_relations_to_kupisch_matches_the_oracle():
     systems = [kupisch_to_relations(series) for series in enumerated_series()]
-    systems += [chain.to_relation_system() for n in range(2, 10) for kind in (CYCLIC, LINEAR)
+    systems += [chain for n in range(2, 10) for kind in (CYCLIC, LINEAR)
                 for r in range(1, n) for chain in enumerate_chains(n, r, kind)]
     for system in systems:
         assert relations_to_kupisch(system) == oracle_relations_to_kupisch(system), system
@@ -388,6 +393,15 @@ def test_syzygy_examples():
     assert is_projective(s, omega)
 
 
+def test_a_syzygy_that_is_too_long_is_an_internal_error():
+    # KupischSeries refuses (4, 2, 2), so only a bug inside the package could pass it:
+    # Omega M(1, 1) = M(2, 3), but c_2 = 2
+    stand_in = types.SimpleNamespace(kind=CYCLIC, n=3, c=(4, 2, 2))
+    with pytest.raises(InternalError, match=r"^syzygy of M\(1,1\) over \[4,2,2\] is too long: "
+                                            r"M\(2,3\)$"):
+        syzygy(stand_in, UniserialModule(1, 1))
+
+
 def test_syzygy_rejects_invalid_module():
     s = validate(CYCLIC, (3, 4, 4))
     with pytest.raises(InvalidModule):
@@ -413,6 +427,15 @@ def test_syzygy_well_formed(case):
 def test_syzygy_matches_oracle(case):
     series, m = case
     assert syzygy(series, m) == oracle_syzygy(series, m)
+
+
+def test_the_oracles_import_no_private_package_name():
+    # they are the second route, so they must not share the package's internals
+    private = []
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nakayama":
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_composition_factors():

@@ -162,7 +162,7 @@ def test_is_chain_rejects_long_relations():
 def test_chain_table_n4_r2():
     chains = list(enumerate_chains(4, 2, CYCLIC))
     assert len(chains) == 4
-    assert {ch.endpoints for ch in chains} == {
+    assert {ch.relations for ch in chains} == {
         ((1, 2), (2, 3)),
         ((1, 2), (2, 4)),
         ((1, 3), (2, 4)),
@@ -182,8 +182,7 @@ def test_chain_systems_satisfy_their_own_predicate():
             for kind in (CYCLIC, LINEAR):
                 for ch in enumerate_chains(n, r, kind):
                     assert ch.r == r
-                    if ch.endpoints:
-                        assert is_chain(ch.to_relation_system())
+                    assert is_chain(ch)
 
 
 def test_chain_counts_match_closed_form():
@@ -331,7 +330,8 @@ def test_census_reports_a_wrong_closed_form_and_a_wrong_fibonacci_total(monkeypa
 
 
 def test_default_cap_reaches_every_finite_gldim_class():
-    # not proved, pinned: entries up to 3n + 1 add no finite-gldim class past 2n - 1
+    # proved in the enumeration docstring; pinned here: entries up to 3n + 1 add no
+    # finite-gldim class past 2n - 1
     counts = []
     for n in range(2, 7):
         finite = [s.c for s in enumerate_cyclic(n, 3 * n + 1)

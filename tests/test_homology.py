@@ -25,9 +25,9 @@ from nakayama import (
     kupisch_to_relations,
     pd_simples,
     projective_dimension,
+    syzygy,
     validate,
 )
-from nakayama.core import _syzygy_step
 from nakayama.errors import InfiniteGlobalDimension, InternalError
 from nakayama.homology import _module_table, _pd_walk, all_modules
 
@@ -145,11 +145,12 @@ def test_the_jump_is_two_syzygy_steps():
             if l == c[t - 1]:
                 continue
             d = c[(t + l - 1) % n] - c[t - 1] + l
-            top, length = _syzygy_step(c, t, l)
-            if length == c[top - 1]:
+            omega = syzygy(series, m)
+            if omega.length == c[omega.top - 1]:
                 assert d == 0, (series, m)
             else:
-                assert _syzygy_step(c, top, length) == ((t + c[t - 1] - 1) % n + 1, d), (series, m)
+                jump = UniserialModule((t + c[t - 1] - 1) % n + 1, d)
+                assert syzygy(series, omega) == jump, (series, m)
                 jumps += 1
     assert jumps
 

@@ -28,7 +28,7 @@ from nakayama import (
 from nakayama.enumeration import _cyclic_with_first
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
 from nakayama.homology import _module_table
-from nakayama.verify import (SUITES, run_suites, _CHECKS, _lazy, _Profile, _shards, _Sweep,
+from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _Sweep,
                              _sweep_shard, _SUITE_FUNCTIONS)
 
 
@@ -124,7 +124,8 @@ def test_pool_runs_each_shard_once(recording_pool):
 
 def test_pooled_violations_keep_enumeration_order(recording_pool, monkeypatch):
     # every algebra violates, so the merged list spells out the sweep order
-    monkeypatch.setitem(nakayama.verify._CHECKS, "chain", ("algebras", lambda p: [str(p.series)]))
+    monkeypatch.setitem(nakayama.verify._SUITES, "chain",
+                        (*_SUITES["chain"][:2], lambda p: [str(p.series)]))
     swept = [str(s) for n in range(2, 6) for s in (*enumerate_cyclic(n), *enumerate_linear(n))]
     for jobs in (1, 2):
         _, violations = run_suites(["chain"], 5, jobs=jobs)["chain"]
@@ -368,17 +369,17 @@ def test_a_shard_swept_again_does_the_same_work(reductions):
 def test_each_report_check_words_its_violation(name, series, changes, expected):
     profile = _Profile(series)
     profile.report = dataclasses.replace(profile.report, **changes)
-    assert _CHECKS[name][1](profile) == expected
+    assert _SUITES[name][2](profile) == expected
 
 
 def test_madsen_words_its_violation():
     profile = _Profile(validate(LINEAR, (3, 2, 1)))
     profile.table[0][1] = 5  # pd M(1,2) = 5, above its factors' pds
-    assert _CHECKS["madsen"][1](profile) == ["[3,2,1]: fails at M(1,2)"]
+    assert _SUITES["madsen"][2](profile) == ["[3,2,1]: fails at M(1,2)"]
 
 
 def test_epsilon_words_a_reduction_of_the_wrong_size():
     profile = _Profile(validate(CYCLIC, (3, 2, 2)))  # reduces to 2 vertices
     profile.relations = kupisch_to_relations(validate(CYCLIC, (3, 3, 3)))  # 3 relations
-    assert _CHECKS["epsilon"][1](profile) == [
+    assert _SUITES["epsilon"][2](profile) == [
         "[3,2,2]: reduced algebra has 2 vertices, expected the relation count"]
