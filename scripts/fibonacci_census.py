@@ -4,22 +4,23 @@
 Counts, per vertex count n, the isomorphism classes of connected Nakayama
 algebras that are quasi-hereditary with global dimension attaining Brown's
 bound, cross-checked against chain enumeration, binomial closed forms, and
-Fibonacci numbers.  Writes the combined table as CSV.
+Fibonacci numbers.  Writes the combined table as CSV.  Exits 2 when the
+routes disagree (a counterexample) and 1 on a usage error.
 
 Usage:
   python scripts/fibonacci_census.py --n-max 7
   python scripts/fibonacci_census.py --n-max 8 --out census.csv
 """
 
-import argparse
 import sys
 import time
 
 from nakayama import CYCLIC, LINEAR, census
+from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexample
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--cap", type=int, default=None,
                         help="cyclic entry cap (default 2n-1); below 2n-1 the counts are"

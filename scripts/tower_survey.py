@@ -6,21 +6,21 @@ reduction goes before terminating and how often each terminal occurs,
 split by finite versus infinite global dimension.  A quick way to see the
 finite/infinite dichotomy in action.  Exits 2 when some n has a class
 whose terminal disagrees with its global dimension (linear exactly when
-finite).
+finite), and 1 on a usage error.
 
 Usage:
   python scripts/tower_survey.py --n-max 6
 """
 
-import argparse
 import sys
 from collections import Counter
 
 from nakayama import INFINITE, enumerate_cyclic, epsilon_tower, homology_report
+from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexample
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--cap", type=int, default=None)
     args = parser.parse_args()

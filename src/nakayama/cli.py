@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--cap", type=int, default=None,
                    help="cyclic entry cap (default 2n-1; a higher cap adds only infinite gldim)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the usable CPUs (default 1)")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.set_defaults(func=cmd_verify)
 

@@ -250,19 +250,23 @@ class RelationSystem:
         return tuple(e - s + 1 for s, e in self.relations)
 
 
+def _relation_pairs(kind: str, c: tuple) -> list:
+    """The relation starts are the v with c_v <= c_{v+1}; each gives (v, v + c_v - 1).
+
+    The one home of that rule, read straight from c: ``kupisch_to_relations``
+    validates the pairs as a ``RelationSystem``; the verify sweep reads them bare.
+    """
+    after = c[1:] + c[:1] if kind == CYCLIC else c[1:]  # a line's sink starts nothing
+    return [(v, v + a - 1) for v, (a, b) in enumerate(zip(c, after), 1) if a <= b]
+
+
 def kupisch_to_relations(series: KupischSeries) -> RelationSystem:
-    """Irredundant presentation: relation starts are the v with c_v <= c_{v+1}.
+    """Irredundant presentation: the ``_relation_pairs`` of c, validated.
 
     Each start v contributes the zero path of length c_v, i.e. the pair
     (v, v + c_v - 1).  Inverse of ``relations_to_kupisch``.
     """
-    c, n = series.c, series.n
-    rel = []
-    last = n if series.kind == CYCLIC else n - 1
-    for v in range(1, last + 1):
-        if c[v - 1] <= c[v % n]:
-            rel.append((v, v + c[v - 1] - 1))
-    return RelationSystem(series.kind, n, tuple(rel))
+    return RelationSystem(series.kind, series.n, _relation_pairs(series.kind, series.c))
 
 
 def relations_to_kupisch(system: RelationSystem) -> KupischSeries:

@@ -139,8 +139,13 @@ def is_chain(system: RelationSystem) -> bool:
     may share no arrow, and the chain starts after it; pairs two apart
     across that gap are disjoint anyway.
     """
-    rel, r, cyclic = system.relations, len(system.relations), system.kind == CYCLIC
-    ring = rel + tuple((s + system.n, e + system.n) for s, e in rel) if cyclic else rel
+    return _is_chain(system.kind, system.n, system.relations)
+
+
+def _is_chain(kind: str, n: int, rel) -> bool:
+    """``is_chain`` on the sorted (start, end) pairs of an irredundant system."""
+    r, cyclic = len(rel), kind == CYCLIC
+    ring = [*rel, *((s + n, e + n) for s, e in rel)] if cyclic else rel
     gaps = sum(e < s for (_, e), (s, _) in zip(ring[:r], ring[1:]))
     return gaps == (1 if cyclic else 0) and all(
         e < s for (_, e), (s, _) in zip(ring[:r], ring[2:]))

@@ -51,27 +51,28 @@ class DeltaBasis:
     deltas: tuple[UniserialModule, ...]
 
 
-def base_set(series: KupischSeries) -> DeltaBasis:
-    """Socle vertices and the interval modules they cut out of the cycle."""
+def _socles_and_tops(series: KupischSeries) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The projectives' socle vertices, ascending, and each interval's top, read from c.
+
+    Interval j ends at socle j and starts just past socle j - 1 (cyclically).
+    """
     if series.kind != CYCLIC:
         raise NotCyclic(f"base set is defined for cyclic algebras, got {series.kind}")
     if series.is_selfinjective:
         raise SelfinjectiveInput(f"base set undefined for selfinjective {series}")
-    n, c = series.n, series.c
-    socles = sorted({(v - 1 + c[v - 1] - 1) % n + 1 for v in range(1, n + 1)})
-    deltas = []
-    for j, s in enumerate(socles):
-        prev = socles[j - 1]
-        top = prev % n + 1
-        length = (s - prev - 1) % n + 1
-        deltas.append(UniserialModule(top, length))
+    n = series.n
+    socles = tuple(sorted({(v + length - 2) % n + 1 for v, length in enumerate(series.c, 1)}))
+    return socles, tuple(s % n + 1 for s in socles[-1:] + socles[:-1])
+
+
+def base_set(series: KupischSeries) -> DeltaBasis:
+    """The ``_socles_and_tops`` of c and the interval modules they cut out of the cycle."""
+    socles, tops = _socles_and_tops(series)
+    n = series.n
+    deltas = tuple(UniserialModule(t, (s - t) % n + 1) for t, s in zip(tops, socles))
     if sum(d.length for d in deltas) != n:
-        raise InternalError(f"base set of {series} does not tile the cycle: {deltas}")
-    return DeltaBasis(
-        socle_vertices=tuple(socles),
-        top_vertices=tuple(d.top for d in deltas),
-        deltas=tuple(deltas),
-    )
+        raise InternalError(f"base set of {series} does not tile the cycle: {list(deltas)}")
+    return DeltaBasis(socle_vertices=socles, top_vertices=tops, deltas=deltas)
 
 
 @dataclass(frozen=True)
@@ -109,29 +110,24 @@ def epsilon(series: KupischSeries) -> EpsilonStep:
     """The syzygy-filtered algebra, via interval counts.
 
     The projective at an interval top ends at a socle vertex, so it is
-    tiled; the number of intervals it covers is the new projective length
-    at that vertex.
+    tiled; the number of intervals it covers, by ``_interval_count`` on the
+    ``_socles_and_tops`` of c, is the new projective length at that vertex.
     """
-    basis = base_set(series)
-    c, deltas = series.c, basis.deltas
-    entries = []
-    for j, d in enumerate(deltas):
-        count = _interval_count(basis, series.n, j, c[d.top - 1])
+    socles, tops = _socles_and_tops(series)
+    c, n, entries = series.c, series.n, []
+    for j, top in enumerate(tops):
+        count = _interval_count(socles, tops, n, j, c[top - 1])
         if count is None:
             raise FiltrationMismatch(
-                f"interval lengths of {series} never sum to c_{d.top} = {c[d.top - 1]}"
+                f"interval lengths of {series} never sum to c_{top} = {c[top - 1]}"
             )
         entries.append(count)
-    return EpsilonStep(
-        components=_split_components(entries),
-        vertex_map=basis.top_vertices,
-    )
+    return EpsilonStep(components=_split_components(entries), vertex_map=tops)
 
 
-def _interval_count(basis, n, j, length):
+def _interval_count(socles, tops, n, j, length):
     """How many intervals from index j on tile ``length``, by the socle lookup; None if none do."""
-    socles, r = basis.socle_vertices, len(basis.socle_vertices)
-    last = (basis.top_vertices[j] + length - 2) % n + 1
+    r, last = len(socles), (tops[j] + length - 2) % n + 1
     k = bisect_left(socles, last)
     if k == r or socles[k] != last:
         return None
@@ -215,7 +211,7 @@ def delta_filtration(
     if m.top not in basis.top_vertices:
         raise NotFiltered(f"{m} has top {m.top}, which is not an interval top")
     j = basis.top_vertices.index(m.top)
-    count = _interval_count(basis, series.n, j, m.length)
+    count = _interval_count(basis.socle_vertices, basis.top_vertices, series.n, j, m.length)
     if count is None:
         raise NotFiltered(f"{m} is not tiled exactly by consecutive intervals")
     r = len(basis.deltas)

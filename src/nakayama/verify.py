@@ -14,11 +14,12 @@ returned as its table of counts.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from functools import cached_property
 
-from .core import CYCLIC, LINEAR, kupisch_to_relations
-from .enumeration import (CensusTable, _cyclic_cap, _cyclic_with_first, _MaximalTally,
-                          enumerate_linear, is_chain, is_maximal)
+from .core import CYCLIC, LINEAR, _relation_pairs
+from .enumeration import (CensusTable, _cyclic_cap, _cyclic_with_first, _is_chain,
+                          _MaximalTally, enumerate_linear, is_maximal)
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, epsilon
 from .homology import (
     INFINITE,
@@ -60,8 +61,9 @@ class _Profile:
     table = _lazy(lambda self: _module_table(self.series))
     report = _lazy(  # from the table only when it is built anyway
         lambda self: homology_report(self.series, self.table if self.tabled else None))
-    relations = _lazy(lambda self: kupisch_to_relations(self.series))
-    chain = _lazy(lambda self: is_chain(self.relations))
+    pairs = _lazy(lambda self: _relation_pairs(self.series.kind, self.series.c))
+    r = _lazy(lambda self: len(self.pairs) + (self.series.kind == LINEAR))  # RelationSystem.r
+    chain = _lazy(lambda self: _is_chain(self.series.kind, self.series.n, self.pairs))
     step = _lazy(lambda self: epsilon(self.series))  # the first reduction
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.series.is_selfinjective else
@@ -121,7 +123,7 @@ def _epsilon(profile):
     finite = report.gldim != INFINITE
     if (terminal == TERMINAL_LINEAR) != finite:
         violations.append(f"{series}: terminal {terminal} but gldim {report.gldim}")
-    if step.vertex_count != profile.relations.r:
+    if step.vertex_count != profile.r:
         violations.append(f"{series}: reduced algebra has {step.vertex_count}"
                           f" vertices, expected the relation count")
     if finite:
@@ -170,7 +172,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
                 found[name][0] += 1
                 found[name][1].extend(violations)
         if fibonacci:
-            tally.add(series, is_maximal(profile.report), profile.relations.r, _chain(profile))
+            tally.add(series, is_maximal(profile.report), profile.r, _chain(profile))
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 
@@ -247,10 +249,11 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     """Run the named suites for every n up to n_max, one shared sweep per n.
 
     Returns {suite: (details-by-n, violations)}.  With ``jobs`` > 1 a pool of
-    at most ``jobs`` workers sweeps the shards of every n, largest n and
-    largest first entry first, so the last tasks are small.  This process
-    merges them by (n, kind, first entry) in enumeration order and calls each
-    suite once per n, so the output is identical for any ``jobs``.
+    at most ``jobs`` workers, and no more than the CPUs this process may run
+    on, sweeps the shards of every n, largest n and largest first entry
+    first, so the last tasks are small.  This process merges them by (n,
+    kind, first entry) in enumeration order and calls each suite once per n,
+    so the output is identical for any ``jobs``.
     """
     names = list(dict.fromkeys(names))
     if not names:
@@ -264,8 +267,10 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     shards = dict.fromkeys(ns)  # n -> its raw shard results; None sweeps in this process
     tasks = sorted(((names, n, *shard) for n in ns for shard in _shards(n, cap)),
                    key=lambda task: (task[1], task[3]), reverse=True)
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             raw = dict(zip((task[1:] for task in tasks),
                            pool.starmap(_sweep_shard, tasks, chunksize=1)))
         shards = {n: [raw[(n, *shard)] for shard in _shards(n, cap)] for n in ns}

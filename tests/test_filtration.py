@@ -9,6 +9,7 @@ from nakayama import (
     CYCLIC,
     INFINITE,
     LINEAR,
+    KupischSeries,
     UniserialModule,
     base_set,
     delta_filtration,
@@ -24,7 +25,7 @@ from nakayama.errors import FiltrationMismatch, NotCyclic, NotFiltered, Selfinje
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _interval_count
 from nakayama.homology import all_modules
 
-from conftest import cyclic_series
+from conftest import cyclic_series, enumerated_series
 from oracles import oracle_interval_count, oracle_tiled
 
 
@@ -104,8 +105,43 @@ def test_epsilon_vertex_count_is_relation_count():
         assert epsilon(series).vertex_count == len(kupisch_to_relations(series).relations)
 
 
+def _epsilon_by_base_set(series):
+    """(components, vertex_map) from the interval modules, counted by adding their lengths."""
+    basis = base_set(series)
+    entries = [oracle_interval_count(basis.deltas, series.n, j, series.c[d.top - 1])
+               for j, d in enumerate(basis.deltas)]
+    if 1 not in entries:
+        return (KupischSeries(CYCLIC, tuple(entries)),), basis.top_vertices
+    last_sink = max(j for j, entry in enumerate(entries) if entry == 1)
+    pieces, piece = [], ()
+    for entry in entries[last_sink + 1:] + entries[:last_sink + 1]:
+        piece += (entry,)
+        if entry == 1:  # a sink ends a linear piece
+            pieces.append(KupischSeries(LINEAR, piece))
+            piece = ()
+    return tuple(pieces), basis.top_vertices
+
+
+def test_epsilon_agrees_with_the_base_set_route():
+    for series in enumerated_series():
+        if series.kind == CYCLIC and not series.is_selfinjective:
+            step = epsilon(series)
+            assert (step.components, step.vertex_map) == _epsilon_by_base_set(series), series
+
+
+@pytest.mark.parametrize("series, error, text", [
+    (validate(LINEAR, (2, 1)), NotCyclic, "base set is defined for cyclic algebras, got linear"),
+    (validate(CYCLIC, (3, 3)), SelfinjectiveInput, "base set undefined for selfinjective [3,3]"),
+])
+def test_epsilon_rejects_as_the_base_set_route_does(series, error, text):
+    for route in (epsilon, _epsilon_by_base_set):
+        with pytest.raises(error) as exc:
+            route(series)
+        assert type(exc.value) is error and str(exc.value) == text
+
+
 def test_epsilon_reports_a_projective_that_is_not_tiled(monkeypatch):
-    monkeypatch.setattr(nakayama.filtration, "_interval_count", lambda basis, n, j, length: None)
+    monkeypatch.setattr(nakayama.filtration, "_interval_count", lambda *lookup: None)
     with pytest.raises(FiltrationMismatch) as exc:
         epsilon(validate(CYCLIC, (3, 4, 4)))
     assert str(exc.value) == "interval lengths of [3,4,4] never sum to c_1 = 3"
@@ -199,10 +235,11 @@ def test_interval_count_agrees_with_the_summing_walk(n):
             if series.is_selfinjective:
                 continue
             basis = base_set(series)
+            lookup = basis.socle_vertices, basis.top_vertices, n
             for j in range(len(basis.deltas)):
                 for length in range(1, 3 * n + 2):
                     expected = oracle_interval_count(basis.deltas, n, j, length)
-                    assert _interval_count(basis, n, j, length) == expected, (series, j, length)
+                    assert _interval_count(*lookup, j, length) == expected, (series, j, length)
                     untiled += expected is None
     assert untiled
 
@@ -216,7 +253,7 @@ def test_interval_count_agrees_with_the_summing_walk_on_large_entries(series, da
     j = data.draw(st.integers(0, len(basis.deltas) - 1))
     length = data.draw(st.integers(0, 10**12)) * n + data.draw(st.integers(1, n))
     expected = oracle_interval_count(basis.deltas, n, j, length)
-    assert _interval_count(basis, n, j, length) == expected
+    assert _interval_count(basis.socle_vertices, basis.top_vertices, n, j, length) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -41,3 +41,28 @@ def test_tower_survey_exits_2_on_a_mismatch(tower_survey, monkeypatch, capsys):
     assert tower_survey.main() == 2
     lines = capsys.readouterr().out.splitlines()
     assert [("MISMATCHES 1" in line) for line in lines] == [False, False, True, False]
+
+
+@pytest.mark.parametrize("name", ["fibonacci_census", "tower_survey"])
+def test_scripts_exit_1_on_a_usage_error(name, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--n-max", "x"])
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main()
+    assert exc.value.code == 1  # 2 would read as a counterexample
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_fibonacci_census_exits_2_on_a_disagreement(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fibonacci_census.py", "--n-max", "3"])
+    script = load_script("fibonacci_census")
+    real = script.census
+
+    def disagreeing(ns, kind, cap=None):
+        table = real(ns, kind, cap)
+        last = dataclasses.replace(table.rows[-1], violations=("n=3 cyclic: planted",))
+        return dataclasses.replace(table, rows=table.rows[:-1] + (last,))
+
+    monkeypatch.setattr(script, "census", disagreeing)
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert "!! n=3 cyclic: planted" in captured.err and captured.out == ""

@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import os
 from collections import Counter
 from functools import cached_property
 
@@ -13,7 +14,7 @@ from nakayama import (
     INFINITE,
     LINEAR,
     KupischSeries,
-    base_set,
+    RelationSystem,
     census,
     enumerate_cyclic,
     enumerate_linear,
@@ -25,11 +26,14 @@ from nakayama import (
     relations_to_kupisch,
     validate,
 )
-from nakayama.enumeration import _cyclic_with_first
+from nakayama.enumeration import _cyclic_with_first, _is_chain
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
 from nakayama.homology import _module_table
 from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _Sweep,
                              _sweep_shard, _SUITE_FUNCTIONS)
+
+from conftest import enumerated_series
+from oracles import oracle_is_chain, oracle_relations
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -109,8 +113,9 @@ def recording_pool(monkeypatch):
     return sizes, ran
 
 
-def test_pool_runs_each_shard_once(recording_pool):
+def test_pool_runs_each_shard_once(recording_pool, monkeypatch):
     sizes, ran = recording_pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     shards = [(n, *shard) for n in range(2, 5) for shard in _shards(n)]
     expected = run_suites(SUITES, 4)
     assert run_suites(SUITES, 4, jobs=64) == expected
@@ -120,6 +125,24 @@ def test_pool_runs_each_shard_once(recording_pool):
         assert sorted(tasks) == sorted(shards)  # every shard exactly once
         # largest n first, and within an n the largest first entry first
         assert tasks == sorted(tasks, key=lambda key: (key[0], key[2]), reverse=True)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, jobs, size", [
+    ({0, 1}, 64, 64, 2),  # the CPUs this process may run on, not those of the host
+    ({3}, 64, 64, None),  # one usable CPU: no pool at all
+    (None, 3, 64, 3),  # no affinity call on this platform: the CPU count
+    (None, None, 64, None),  # and when that is unknown, one worker
+])
+def test_pool_is_capped_at_the_usable_cpus(recording_pool, monkeypatch,
+                                           affinity, cpu_count, jobs, size):
+    sizes, _ = recording_pool
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert run_suites(["chain"], 4, jobs=jobs) == run_suites(["chain"], 4)
+    assert sizes == ([] if size is None else [size])
 
 
 def test_pooled_violations_keep_enumeration_order(recording_pool, monkeypatch):
@@ -189,8 +212,8 @@ def test_census_reports_each_algebra_of_its_kind_once(monkeypatch, kind):
 
 def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     flipped = (3, 2, 2)  # maximal at n = 3
-    monkeypatch.setattr(nakayama.verify, "is_chain", lambda system: is_chain(system)
-                        != (relations_to_kupisch(system).c == flipped))
+    monkeypatch.setattr(nakayama.verify, "_is_chain", lambda kind, n, pairs: _is_chain(
+        kind, n, pairs) != (relations_to_kupisch(RelationSystem(kind, n, pairs)).c == flipped))
     text = "[3,2,2]: maximal=True but chain=False"
     results = run_suites(["chain", "fibonacci"], 3)
     assert results["chain"][1].count(text) == 1
@@ -198,7 +221,7 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert census([3], CYCLIC).violations.count(text) == 1
 
 
-_PROFILE_FIELDS = ("table", "report", "relations", "chain", "step", "terminal")
+_PROFILE_FIELDS = ("table", "report", "pairs", "r", "chain", "step", "terminal")
 
 
 def test_lazy_fields_read_on_the_class_are_their_descriptors():
@@ -234,18 +257,6 @@ def test_a_sweep_runs_once_however_often_it_is_read(monkeypatch):
     first = [_SUITE_FUNCTIONS[name](4, None, sweep) for name in SUITES]
     assert [_SUITE_FUNCTIONS[name](4, None, sweep) for name in SUITES] == first
     assert len(calls) == len(_shards(4))
-
-
-def test_one_base_set_per_algebra(monkeypatch):
-    calls = []  # keeps every argument alive, so ids are not reused
-
-    def counted(series):
-        calls.append(series)
-        return base_set(series)
-
-    monkeypatch.setattr(nakayama.filtration, "base_set", counted)
-    run_suites(SUITES, 5)
-    assert calls and max(Counter(map(id, calls)).values()) == 1
 
 
 def test_one_module_table_per_algebra_and_none_unread(monkeypatch):
@@ -343,6 +354,30 @@ def test_a_shard_swept_again_does_the_same_work(reductions):
     assert once[0] == again[0] and vars(once[1]) == vars(again[1])
 
 
+def test_one_epsilon_per_swept_algebra_and_per_reduced_class_in_a_shard(reductions):
+    for n, first, swept in _cyclic_shards(6):
+        del reductions[:]
+        _sweep_shard(SUITES, n, CYCLIC, first)
+        assert [s for s in reductions if s.n == n] == swept  # one each, in sweep order
+        reduced = [s for s in reductions if s.n < n]  # a reduction has fewer vertices
+        assert all(s.kind == CYCLIC for s in reduced) and len(set(reduced)) == len(reduced)
+    for n in range(2, 7):
+        del reductions[:]
+        _sweep_shard(SUITES, n, LINEAR, 0)
+        assert reductions == []
+
+
+def test_sweep_relations_are_valid_by_construction():
+    # the sweep reads the relation starts from c without building a RelationSystem
+    for series in enumerated_series():
+        profile = _Profile(series)
+        pairs = tuple(profile.pairs)
+        assert pairs == oracle_relations(series) == kupisch_to_relations(series).relations
+        system = RelationSystem(series.kind, series.n, pairs)  # validates
+        assert profile.r == system.r, series
+        assert profile.chain == is_chain(system) == oracle_is_chain(system), series
+
+
 # Each violation text, driven once through its suite's predicate on a profile
 # whose report, table or relations were changed to break the theorem.
 
@@ -380,6 +415,6 @@ def test_madsen_words_its_violation():
 
 def test_epsilon_words_a_reduction_of_the_wrong_size():
     profile = _Profile(validate(CYCLIC, (3, 2, 2)))  # reduces to 2 vertices
-    profile.relations = kupisch_to_relations(validate(CYCLIC, (3, 3, 3)))  # 3 relations
+    profile.r = 3
     assert _SUITES["epsilon"][2](profile) == [
         "[3,2,2]: reduced algebra has 2 vertices, expected the relation count"]
