@@ -92,10 +92,6 @@ class KupischSeries:
         """Constant cyclic series; always False for linear kind."""
         return self.kind == CYCLIC and len(set(self.c)) == 1
 
-    @property
-    def is_semisimple(self) -> bool:
-        return self.kind == LINEAR and self.c == (1,)
-
     def __str__(self):
         return f"[{','.join(map(str, self.c))}]"
 
@@ -103,15 +99,6 @@ class KupischSeries:
 def validate(kind: str, c) -> KupischSeries:
     """Validate a length vector and return the series; the constructor raises otherwise."""
     return KupischSeries(kind, tuple(c))
-
-
-def rotate(series: KupischSeries, j: int) -> KupischSeries:
-    """Relabel vertices v -> v - j around the cycle (entry j+1 becomes first)."""
-    if series.kind != CYCLIC:
-        raise ValueError("only cyclic series can be rotated")
-    n = series.n
-    j %= n
-    return KupischSeries(CYCLIC, series.c[j:] + series.c[:j])
 
 
 def canonical_form(series: KupischSeries) -> KupischSeries:
@@ -151,17 +138,6 @@ def check_module(series: KupischSeries, m: UniserialModule) -> None:
         raise InvalidModule(
             f"length {m.length} not in 1..c_{m.top} = {series.c[m.top - 1]}"
         )
-
-
-def is_projective(series: KupischSeries, m: UniserialModule) -> bool:
-    check_module(series, m)
-    return m.length == series.c[m.top - 1]
-
-
-def composition_factors(series: KupischSeries, m: UniserialModule) -> tuple[int, ...]:
-    """Vertices of the composition factors, top first."""
-    check_module(series, m)
-    return tuple((m.top - 1 + t) % series.n + 1 for t in range(m.length))
 
 
 def syzygy(series: KupischSeries, m: UniserialModule) -> UniserialModule | None:
@@ -237,17 +213,9 @@ class RelationSystem:
                 raise RedundantRelations(f"relation {rel[i]} contains relation {inner}")
 
     @property
-    def selfinjective(self) -> bool:
-        """Cyclic with n relations; the n increasing ends then step by one, so lengths agree."""
-        return self.kind == CYCLIC and len(self.relations) == self.n
-
-    @property
     def r(self) -> int:
         """Relation count in the counting convention: stored + 1 for linear."""
         return len(self.relations) + (1 if self.kind == LINEAR else 0)
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(e - s + 1 for s, e in self.relations)
 
 
 def _relation_pairs(kind: str, c: tuple) -> list:

@@ -25,7 +25,6 @@ two intervals, so a single entry 1 already breaks the cycle).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -81,12 +80,10 @@ class EpsilonStep:
 
     ``components`` is the reduced algebra: a single cyclic series when
     every new entry is at least 2, otherwise the linear pieces it splits
-    into (ordered by their final interval index).  ``vertex_map[j]`` is the
-    top vertex in the original algebra of interval j.
+    into (ordered by their final interval index).
     """
 
     components: tuple[KupischSeries, ...]
-    vertex_map: tuple[int, ...]
 
     @property
     def is_cyclic(self) -> bool:
@@ -122,7 +119,7 @@ def epsilon(series: KupischSeries) -> EpsilonStep:
                 f"interval lengths of {series} never sum to c_{top} = {c[top - 1]}"
             )
         entries.append(count)
-    return EpsilonStep(components=_split_components(entries), vertex_map=tops)
+    return EpsilonStep(components=_split_components(entries))
 
 
 def _interval_count(socles, tops, n, j, length):
@@ -173,9 +170,6 @@ class EpsilonTower:
             "terminal": self.terminal,
             "depth": self.depth,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def epsilon_tower(series: KupischSeries) -> EpsilonTower:

@@ -22,7 +22,6 @@ the sink (t + c_t = n + 1) forces d = 0: each non-projective M(t, l) has pd 1.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -178,9 +177,6 @@ class HomologyReport:
             "quasi_hereditary": self.quasi_hereditary,
             "brown_slack": self.brown_slack,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def homology_report(series: KupischSeries, table=None) -> HomologyReport:

@@ -15,13 +15,10 @@ from nakayama import (
     RelationSystem,
     UniserialModule,
     canonical_form,
-    composition_factors,
     enumerate_chains,
-    is_projective,
     kupisch_to_relations,
     normalize_relation_labels,
     relations_to_kupisch,
-    rotate,
     syzygy,
     validate,
 )
@@ -42,7 +39,6 @@ from conftest import any_series, cyclic_series, enumerated_series, series_with_m
 from oracles import (
     brute_force_cyclic,
     brute_force_linear,
-    module_vertices,
     oracle_redundant,
     oracle_relations,
     oracle_relations_to_kupisch,
@@ -103,7 +99,6 @@ def test_each_kupisch_rule_words_its_error(kind, c, err, message):
 
 
 def test_validate_degenerate_endpoints():
-    assert validate(LINEAR, (1,)).is_semisimple
     assert validate(CYCLIC, (5,)).is_selfinjective
 
 
@@ -153,10 +148,12 @@ def test_canonical_linear_is_identity():
 def test_canonical_rotation_invariant_and_idempotent(series):
     canon = canonical_form(series)
     assert canonical_form(canon).c == canon.c
-    for j in range(series.n):
-        assert canonical_form(rotate(series, j)).c == canon.c
+    c = series.c
+    rotations = [KupischSeries(CYCLIC, c[j:] + c[:j]) for j in range(series.n)]
+    for rotation in rotations:
+        assert canonical_form(rotation).c == canon.c
     # the canonical form is one of the rotations
-    assert canon.c in {rotate(series, j).c for j in range(series.n)}
+    assert canon.c in {rotation.c for rotation in rotations}
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +224,21 @@ def test_parsed_and_converted_selfinjective_systems_are_equal():
     parsed = parse_relations("1:2;2:3;3:4", CYCLIC, 3)
     converted = kupisch_to_relations(validate(CYCLIC, (2, 2, 2)))
     assert parsed == converted and hash(parsed) == hash(converted)
-    assert parsed.selfinjective
+    assert len(parsed.relations) == parsed.n
 
 
 def test_selfinjective_flag_agrees_with_the_series():
     for series in enumerated_series():
         system = kupisch_to_relations(series)
-        assert system.selfinjective == series.is_selfinjective, series
-        assert normalize_relation_labels(system).selfinjective == series.is_selfinjective
+        for s in (system, normalize_relation_labels(system)):
+            assert (s.kind == CYCLIC and len(s.relations) == s.n) == series.is_selfinjective, series
 
 
 def test_selfinjective_relations_flagged_and_round_trip():
     series = validate(CYCLIC, (5, 5))
     system = kupisch_to_relations(series)
-    assert system.selfinjective
-    assert len(system.relations) == 2
-    assert system.lengths() == (5, 5)
+    assert len(system.relations) == system.n == 2
+    assert [e - s + 1 for s, e in system.relations] == [5, 5]
     assert relations_to_kupisch(system).c == (5, 5)
     system = RelationSystem(CYCLIC, _Three(), ((1, 2),))
     assert type(system.n) is int and system.n == 3
@@ -346,7 +342,8 @@ def test_selfinjective_flag_agrees_with_the_series_up_to_9(drawn):
         series = relations_to_kupisch(system)
     except NakayamaError:
         reject()
-    assert system.selfinjective == series.is_selfinjective
+    selfinjective = system.kind == CYCLIC and len(system.relations) == system.n
+    assert selfinjective == series.is_selfinjective
 
 
 @st.composite
@@ -361,7 +358,7 @@ def relations_at_every_vertex(draw, max_n=9):
 @given(relations_at_every_vertex())
 @settings(max_examples=300)
 def test_n_cyclic_relations_are_accepted_iff_their_lengths_agree(drawn):
-    # the premise of the derived selfinjective flag
+    # why n cyclic relations present exactly a selfinjective algebra
     n, relations = drawn
     equal = len({e - s for s, e in relations}) == 1
     try:
@@ -369,14 +366,14 @@ def test_n_cyclic_relations_are_accepted_iff_their_lengths_agree(drawn):
     except RedundantRelations:
         assert not equal
     else:
-        assert equal and system.selfinjective
+        assert equal and relations_to_kupisch(system).is_selfinjective
 
 
 def test_long_relation_round_trip():
     # relation length exceeding n must survive the conversion cycle
     series = validate(CYCLIC, (5, 4, 4))
     system = kupisch_to_relations(series)
-    assert system.lengths() == (4, 4)
+    assert [e - s + 1 for s, e in system.relations] == [4, 4]
     assert relations_to_kupisch(system).c == (5, 4, 4)
 
 
@@ -390,7 +387,7 @@ def test_syzygy_examples():
     assert syzygy(s, UniserialModule(3, 4)) is None
     omega = syzygy(s, UniserialModule(3, 1))
     assert omega == UniserialModule(1, 3)
-    assert is_projective(s, omega)
+    assert syzygy(s, omega) is None  # projective
 
 
 def test_a_syzygy_that_is_too_long_is_an_internal_error():
@@ -436,24 +433,6 @@ def test_the_oracles_import_no_private_package_name():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nakayama":
             private += [a.name for a in node.names if a.name.startswith("_")]
     assert private == []
-
-
-def test_composition_factors():
-    s = validate(CYCLIC, (3, 4, 4))
-    assert composition_factors(s, UniserialModule(2, 4)) == (2, 3, 1, 2)
-    lin = validate(LINEAR, (3, 2, 2, 1))
-    assert composition_factors(lin, UniserialModule(1, 3)) == (1, 2, 3)
-
-
-def test_composition_factors_match_the_oracle():
-    # one modular formula for both kinds: a linear module never passes vertex n
-    series = [KupischSeries(LINEAR, c) for n in range(1, 8) for c in brute_force_linear(n)]
-    series += [KupischSeries(CYCLIC, c) for n in range(1, 6) for c in brute_force_cyclic(n, 2 * n)]
-    for s in series:
-        for top in range(1, s.n + 1):
-            for length in range(1, s.c[top - 1] + 1):
-                m = UniserialModule(top, length)
-                assert composition_factors(s, m) == module_vertices(s, m), (s, m)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,6 @@ def test_epsilon_examples():
     step = epsilon(validate(CYCLIC, (3, 4, 4)))
     assert step.algebra.c == (2, 3)
     assert step.algebra.kind == CYCLIC
-    assert step.vertex_map == (1, 3)
 
     step = epsilon(validate(CYCLIC, (4, 6, 5)))
     assert step.algebra.c == (2,)
@@ -106,12 +105,12 @@ def test_epsilon_vertex_count_is_relation_count():
 
 
 def _epsilon_by_base_set(series):
-    """(components, vertex_map) from the interval modules, counted by adding their lengths."""
+    """The components from the interval modules, counted by adding their lengths."""
     basis = base_set(series)
     entries = [oracle_interval_count(basis.deltas, series.n, j, series.c[d.top - 1])
                for j, d in enumerate(basis.deltas)]
     if 1 not in entries:
-        return (KupischSeries(CYCLIC, tuple(entries)),), basis.top_vertices
+        return (KupischSeries(CYCLIC, tuple(entries)),)
     last_sink = max(j for j, entry in enumerate(entries) if entry == 1)
     pieces, piece = [], ()
     for entry in entries[last_sink + 1:] + entries[:last_sink + 1]:
@@ -119,14 +118,14 @@ def _epsilon_by_base_set(series):
         if entry == 1:  # a sink ends a linear piece
             pieces.append(KupischSeries(LINEAR, piece))
             piece = ()
-    return tuple(pieces), basis.top_vertices
+    return tuple(pieces)
 
 
 def test_epsilon_agrees_with_the_base_set_route():
     for series in enumerated_series():
         if series.kind == CYCLIC and not series.is_selfinjective:
             step = epsilon(series)
-            assert (step.components, step.vertex_map) == _epsilon_by_base_set(series), series
+            assert step.components == _epsilon_by_base_set(series), series
 
 
 @pytest.mark.parametrize("series, error, text", [
@@ -173,7 +172,8 @@ def test_tower_rejects_linear():
 
 
 def test_tower_json():
-    payload = json.loads(epsilon_tower(validate(CYCLIC, (3, 4, 4))).to_json())
+    tower = epsilon_tower(validate(CYCLIC, (3, 4, 4)))
+    payload = json.loads(json.dumps(tower.to_dict(), sort_keys=True))
     assert payload["terminal"] == "linear"
     assert payload["steps"] == [[{"c": [2, 3], "kind": "cyclic"}], [{"c": [1], "kind": "linear"}]]
 
