@@ -23,8 +23,8 @@ the sink (t + c_t = n + 1) forces d = 0: each non-projective M(t, l) has pd 1.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .core import (
     CYCLIC,
@@ -81,9 +81,12 @@ def _pd_walk(c, top, length, memo):
 
 
 def pd_simples(series: KupischSeries) -> tuple:
-    """Projective dimension of every simple module, indexed by vertex."""
-    memo = {}
-    return tuple(_pd_walk(series.c, v, 1, memo) for v in range(1, series.n + 1))
+    """Projective dimension of every simple module, indexed by vertex.
+
+    c_{v+1} = c_v - 1 is the jump's d = 0 at length 1 (Omega S_v = P_{v+1}): pd 1, not walked.
+    """
+    c, n, memo = series.c, series.n, {}
+    return tuple(1 if c[v % n] == c[v - 1] - 1 else _pd_walk(c, v, 1, memo) for v in range(1, n + 1))
 
 
 def _module_table(series: KupischSeries) -> list:
@@ -183,19 +186,16 @@ def homology_report(series: KupischSeries, table=None) -> HomologyReport:
     """The full report for a connected Nakayama algebra; ``table``: its module pds, if built."""
     pds = pd_simples(series) if table is None else tuple(row[0] for row in table)
     gldim = max(pds)
-    o_set = tuple(sorted({p for p in pds if p != INFINITE}))
+    # each count is a run of the sorted pds, so even n distinct pds cost one sort, not n scans
+    lam = {cc: series.n - len(list(run)) for cc, run in groupby(sorted(pds))}
+    lam.pop(INFINITE, None)
+    o_set = tuple(lam)  # sorted and distinct
     a_min = o_set[0] if o_set else None
-    counts = Counter(pds)
-    lam = {cc: series.n - counts[cc] for cc in o_set}
-    if gldim == INFINITE:
-        s_connected = None
-    else:
-        s_connected = o_set == tuple(range(a_min, gldim + 1))
-    quasi_hereditary = 0 in pds or 2 in pds
-    brown_slack = None
+    s_connected = brown_slack = None
     if gldim != INFINITE:
+        s_connected = len(o_set) == gldim - a_min + 1  # distinct in [a_min, gldim]: all of them
         brown_slack = a_min + min(lam.values()) - gldim
-        if series.kind == LINEAR and o_set != tuple(range(0, gldim + 1)):
+        if series.kind == LINEAR and not (s_connected and a_min == 0):
             # acyclic algebras realize every pd from 0 up to the global dimension
             raise InternalError(f"linear {series} has simple pds {pds}, not 0..{gldim}")
     return HomologyReport(
@@ -207,7 +207,7 @@ def homology_report(series: KupischSeries, table=None) -> HomologyReport:
         a_min=a_min,
         lam=lam,
         s_connected=s_connected,
-        quasi_hereditary=quasi_hereditary,
+        quasi_hereditary=0 in pds or 2 in pds,
         brown_slack=brown_slack,
     )
 

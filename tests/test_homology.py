@@ -180,6 +180,30 @@ def test_a_jump_that_leaves_the_modules_is_an_internal_error(c):
         _pd_walk(c, 1, 1, {})
 
 
+def test_pd_simples_shortcut_matches_the_walk():
+    # pd_simples gives pd 1 without a walk where c_{v+1} = c_v - 1; every simple is
+    # walked here on a fresh memo, and for n <= 5 also stepped by the oracle
+    shortcuts = 0
+    for series in enumerated_series():
+        c, n = series.c, series.n
+        pds = pd_simples(series)
+        assert pds == tuple(_pd_walk(c, v, 1, {}) for v in range(1, n + 1)), series
+        shortcuts += sum(1 for v in range(1, n + 1) if c[v % n] == c[v - 1] - 1)
+        if n <= 5:
+            assert pds == tuple(oracle_pd(series, UniserialModule(v, 1))
+                                for v in range(1, n + 1)), series
+    assert shortcuts
+
+
+@pytest.mark.parametrize("kind, c", [(CYCLIC, (4, 2, 2)), (LINEAR, (3, 1, 1))])
+def test_pd_simples_of_a_series_that_drops_by_two_is_an_internal_error(kind, c):
+    # c_2 = c_1 - 2 must be walked, and the walk raises.  Over (4, 2, 2) the walk from S_2
+    # passes M(1, 1) too; over (3, 1, 1) S_2 and S_3 are projective, so only S_1's walk raises
+    stand_in = types.SimpleNamespace(kind=kind, c=c, n=3)
+    with pytest.raises(InternalError):
+        pd_simples(stand_in)
+
+
 @given(any_series(max_n=4, max_entry=7))
 @settings(max_examples=150)
 def test_pd_matches_oracle(series):
@@ -273,6 +297,28 @@ def test_lambda_counts_match_a_per_value_count():
         pds = report.pd_simple
         expected = {cc: sum(1 for p in pds if p != cc) for cc in report.o_set}
         assert list(report.lam.items()) == list(expected.items()), series
+
+
+def test_report_flags_match_their_definitions():
+    # s_connected is a length test on o_set; pin it to the interval it stands for
+    finite = 0
+    for series in enumerated_series():
+        r = homology_report(series)
+        if r.gldim == INFINITE:
+            continue
+        finite += 1
+        assert r.s_connected == (r.o_set == tuple(range(r.a_min, r.gldim + 1))), series
+        assert r.brown_slack == r.a_min + min(r.lam.values()) - r.gldim, series
+    assert finite
+
+
+@pytest.mark.parametrize("first_column", [(1, 3, 0), (2, 1, 1)])
+def test_a_line_whose_simple_pds_are_not_0_to_gldim_is_an_internal_error(first_column):
+    # (1, 3, 0) has a gap at 2, (2, 1, 1) has no 0; no valid line gets here
+    stand_in = types.SimpleNamespace(kind=LINEAR, c=(3, 2, 1), n=3)
+    table = [[p] for p in first_column]
+    with pytest.raises(InternalError, match="has simple pds"):
+        homology_report(stand_in, table)
 
 
 def test_report_on_a_long_line():
