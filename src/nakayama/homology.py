@@ -189,11 +189,11 @@ def homology_report(series: KupischSeries, table=None) -> HomologyReport:
     # each count is a run of the sorted pds, so even n distinct pds cost one sort, not n scans
     lam = {cc: series.n - len(list(run)) for cc, run in groupby(sorted(pds))}
     lam.pop(INFINITE, None)
-    o_set = tuple(lam)  # sorted and distinct
+    o_set = tuple(lam)  # sorted and distinct: an interval iff it has gldim - a_min + 1 values
     a_min = o_set[0] if o_set else None
     s_connected = brown_slack = None
     if gldim != INFINITE:
-        s_connected = len(o_set) == gldim - a_min + 1  # distinct in [a_min, gldim]: all of them
+        s_connected = len(o_set) == gldim - a_min + 1
         brown_slack = a_min + min(lam.values()) - gldim
         if series.kind == LINEAR and not (s_connected and a_min == 0):
             # acyclic algebras realize every pd from 0 up to the global dimension
