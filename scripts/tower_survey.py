@@ -10,6 +10,7 @@ finite), and 1 on a usage error.
 
 Usage:
   python scripts/tower_survey.py --n-max 6
+  python scripts/tower_survey.py --n-max 4 --cap 12
 """
 
 import sys
@@ -22,7 +23,9 @@ from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexampl
 def main() -> int:
     parser = _Parser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=6)
-    parser.add_argument("--cap", type=int, default=None)
+    parser.add_argument("--cap", type=int, default=None,
+                        help="cyclic entry cap (default 2n-1); a higher cap adds only classes of"
+                             " infinite global dimension, whose towers end selfinjective")
     args = parser.parse_args()
 
     status = 0

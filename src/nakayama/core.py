@@ -26,25 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
-from .errors import (
-    BadTail,
-    EmptyCyclicSystem,
-    InternalError,
-    InvalidModule,
-    InvalidRelationSystem,
-    RedundantRelations,
-    ShortProjective,
-    StepViolation,
-)
+from .errors import InternalError, NakayamaError
 
 CYCLIC = "cyclic"
 LINEAR = "linear"
 
 
 def check_kind(kind: str) -> str:
-    """The quiver ``kind`` itself; ValueError unless it is CYCLIC or LINEAR."""
+    """The quiver ``kind`` itself; NakayamaError unless it is CYCLIC or LINEAR."""
     if kind not in (CYCLIC, LINEAR):
-        raise ValueError(f"kind must be {CYCLIC!r} or {LINEAR!r}, got {kind!r}")
+        raise NakayamaError(f"kind must be {CYCLIC!r} or {LINEAR!r}, got {kind!r}")
     return kind
 
 
@@ -57,8 +48,8 @@ class KupischSeries:
     """A connected Nakayama algebra, given by its vector of projective lengths.
 
     Construction validates the defining constraints and raises
-    ``StepViolation`` / ``ShortProjective`` / ``BadTail`` on invalid input,
-    and TypeError on an entry that is not an integer (a float or a string).
+    ``NakayamaError`` naming the broken one on invalid input, and TypeError
+    on an entry that is not an integer (a float or a string).
     """
 
     kind: str
@@ -69,17 +60,17 @@ class KupischSeries:
         check_kind(self.kind)
         c, n, cyclic = self.c, len(self.c), self.kind == CYCLIC
         if n == 0:
-            raise ValueError("empty series")
+            raise NakayamaError("empty series")
         if not cyclic and c[n - 1] != 1:
-            raise BadTail(f"linear series must end in 1, got c_{n} = {c[n-1]}")
+            raise NakayamaError(f"linear series must end in 1, got c_{n} = {c[n-1]}")
         for v in range(n if cyclic else n - 1):
             if c[v] < 2:
-                raise ShortProjective(f"{self.kind} series needs c_i >= 2"
-                                      f"{'' if cyclic else ' for i < n'}, got c_{v+1} = {c[v]}")
+                raise NakayamaError(f"{self.kind} series needs c_i >= 2"
+                                    f"{'' if cyclic else ' for i < n'}, got c_{v+1} = {c[v]}")
             if not cyclic and c[v] > n - v:
-                raise BadTail(f"c_{v+1} = {c[v]} exceeds n - i + 1 = {n - v}")
+                raise NakayamaError(f"c_{v+1} = {c[v]} exceeds n - i + 1 = {n - v}")
             if c[(v + 1) % n] < c[v] - 1:
-                raise StepViolation(
+                raise NakayamaError(
                     f"c_{(v + 1) % n + 1} = {c[(v + 1) % n]} < c_{v+1} - 1 = {c[v] - 1}"
                 )
 
@@ -133,9 +124,9 @@ class UniserialModule:
 
 def check_module(series: KupischSeries, m: UniserialModule) -> None:
     if not 1 <= m.top <= series.n:
-        raise InvalidModule(f"top {m.top} out of range 1..{series.n}")
+        raise NakayamaError(f"top {m.top} out of range 1..{series.n}")
     if not 1 <= m.length <= series.c[m.top - 1]:
-        raise InvalidModule(
+        raise NakayamaError(
             f"length {m.length} not in 1..c_{m.top} = {series.c[m.top - 1]}"
         )
 
@@ -169,12 +160,13 @@ class RelationSystem:
 
     ``relations`` holds (start, end) arrow-index pairs sorted by start; see
     the module docstring for the unreduced-end convention.  Construction
-    enforces an integer vertex count and endpoints (TypeError otherwise),
-    distinct starts in 1..n, lengths of at least 2, linear ends at most
-    n - 1, and no relation inside another (on a cycle, after any shift by a
-    multiple of n), so the ends increase with the starts.  For the linear
-    kind the formal relation "arrow n vanishes" is implicit and not stored;
-    the conventional relation count ``r`` is stored plus one.
+    enforces an integer vertex count and endpoints (TypeError otherwise)
+    and raises NakayamaError unless the starts are distinct and in 1..n,
+    lengths are at least 2, linear ends at most n - 1, and no relation lies
+    inside another (on a cycle, after any shift by a multiple of n), so the
+    ends increase with the starts.  For the linear kind the formal relation
+    "arrow n vanishes" is implicit and not stored; the conventional relation
+    count ``r`` is stored plus one.
     """
 
     kind: str
@@ -188,20 +180,20 @@ class RelationSystem:
         )
         check_kind(self.kind)
         if self.n < 1:
-            raise InvalidRelationSystem(f"vertex count must be positive, got {self.n}")
+            raise NakayamaError(f"vertex count must be positive, got {self.n}")
         rel = self.relations
         if self.kind == CYCLIC and not rel:
-            raise EmptyCyclicSystem("a cyclic quiver needs at least one relation")
+            raise NakayamaError("a cyclic quiver needs at least one relation")
         starts = [s for s, _ in rel]
         if len(set(starts)) != len(starts):
-            raise InvalidRelationSystem(f"repeated relation starts in {rel}")
+            raise NakayamaError(f"repeated relation starts in {rel}")
         for s, e in rel:
             if not 1 <= s <= self.n:
-                raise InvalidRelationSystem(f"start {s} out of range 1..{self.n}")
+                raise NakayamaError(f"start {s} out of range 1..{self.n}")
             if e < s + 1:
-                raise InvalidRelationSystem(f"relation ({s},{e}) has length < 2")
+                raise NakayamaError(f"relation ({s},{e}) has length < 2")
             if self.kind == LINEAR and e > self.n - 1:
-                raise InvalidRelationSystem(
+                raise NakayamaError(
                     f"linear relation ({s},{e}) runs past arrow {self.n - 1}"
                 )
         # with sorted distinct starts, no relation contains another (on a cycle, after any
@@ -210,7 +202,7 @@ class RelationSystem:
         for i in range(len(ends) - 1):
             if ends[i + 1] <= ends[i]:
                 inner = rel[(i + 1) % len(rel)]
-                raise RedundantRelations(f"relation {rel[i]} contains relation {inner}")
+                raise NakayamaError(f"relation {rel[i]} contains relation {inner}")
 
     @property
     def r(self) -> int:
@@ -277,7 +269,7 @@ def parse_kupisch(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse Kupisch series from {text!r}") from None
+        raise NakayamaError(f"cannot parse Kupisch series from {text!r}") from None
 
 
 def format_kupisch(series: KupischSeries) -> str:
@@ -297,7 +289,7 @@ def parse_relations(text: str, kind: str, n: int) -> RelationSystem:
             s_txt, e_txt = chunk.split(":")
             s, e = int(s_txt), int(e_txt)
         except ValueError:
-            raise ValueError(f"cannot parse relation {chunk!r}; expected start:end") from None
+            raise NakayamaError(f"cannot parse relation {chunk!r}; expected start:end") from None
         if kind == CYCLIC and e <= s:
             e += n
         rel.append((s, e))

@@ -28,13 +28,14 @@ from math import comb
 
 from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, canonical_form,
                    check_kind, relations_to_kupisch)
+from .errors import NakayamaError
 from .homology import HomologyReport
 
 
 def fibonacci(k: int) -> int:
     """F_0 = 0, F_1 = 1, F_{k+1} = F_k + F_{k-1}; exact integers."""
     if k < 0:
-        raise ValueError(f"index must be nonnegative, got {k}")
+        raise NakayamaError(f"index must be nonnegative, got {k}")
     a, b = 0, 1
     for _ in range(k):
         a, b = b, a + b
@@ -48,7 +49,7 @@ def count_closed_form(n: int, r: int, kind: str) -> int:
     counts the implicit sink relation as well.
     """
     if n < 2 or not 1 <= r <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
+        raise NakayamaError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
     if check_kind(kind) == CYCLIC:
         return comb(n + r - 2, 2 * r - 1)
     return comb(n + r - 3, 2 * r - 2)
@@ -64,7 +65,7 @@ def enumerate_linear(n: int):
     Built backwards from c_n = 1 with c_i in [2, min(c_{i+1} + 1, n - i + 1)].
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise NakayamaError(f"need n >= 2, got {n}")
 
     def extend(suffix):
         i = n - len(suffix)
@@ -85,7 +86,7 @@ def enumerate_cyclic(n: int, cap: int | None = None):
     2n - 1; a cap below 2 is raised to 2.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise NakayamaError(f"need n >= 1, got {n}")
     for first in range(2, _cyclic_cap(n, cap) + 1):
         yield from _cyclic_with_first(n, first)
 

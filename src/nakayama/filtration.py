@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import CYCLIC, LINEAR, KupischSeries, UniserialModule, check_module
-from .errors import FiltrationMismatch, InternalError, NotCyclic, NotFiltered, SelfinjectiveInput
+from .errors import InternalError, NakayamaError
 
 TERMINAL_LINEAR = "linear"
 TERMINAL_SELFINJECTIVE = "selfinjective"
@@ -56,9 +56,9 @@ def _socles_and_tops(series: KupischSeries) -> tuple[tuple[int, ...], tuple[int,
     Interval j ends at socle j and starts just past socle j - 1 (cyclically).
     """
     if series.kind != CYCLIC:
-        raise NotCyclic(f"base set is defined for cyclic algebras, got {series.kind}")
+        raise NakayamaError(f"base set is defined for cyclic algebras, got {series.kind}")
     if series.is_selfinjective:
-        raise SelfinjectiveInput(f"base set undefined for selfinjective {series}")
+        raise NakayamaError(f"base set undefined for selfinjective {series}")
     n = series.n
     socles = tuple(sorted({(v + length - 2) % n + 1 for v, length in enumerate(series.c, 1)}))
     return socles, tuple(s % n + 1 for s in socles[-1:] + socles[:-1])
@@ -93,7 +93,7 @@ class EpsilonStep:
     def algebra(self) -> KupischSeries:
         """The reduced algebra when connected; raises when it splits."""
         if len(self.components) != 1:
-            raise ValueError(
+            raise NakayamaError(
                 f"reduced algebra is disconnected: {[str(k) for k in self.components]}"
             )
         return self.components[0]
@@ -115,7 +115,7 @@ def epsilon(series: KupischSeries) -> EpsilonStep:
     for j, top in enumerate(tops):
         count = _interval_count(socles, tops, n, j, c[top - 1])
         if count is None:
-            raise FiltrationMismatch(
+            raise InternalError(
                 f"interval lengths of {series} never sum to c_{top} = {c[top - 1]}"
             )
         entries.append(count)
@@ -175,7 +175,7 @@ class EpsilonTower:
 def epsilon_tower(series: KupischSeries) -> EpsilonTower:
     """Apply the reduction until reaching a selfinjective or acyclic algebra."""
     if series.kind != CYCLIC:
-        raise NotCyclic(f"tower is defined for cyclic algebras, got {series.kind}")
+        raise NakayamaError(f"tower is defined for cyclic algebras, got {series.kind}")
     steps = []
     current = series
     while True:
@@ -195,7 +195,7 @@ def delta_filtration(
 
     Returns the interval indices (positions into ``basis.deltas``), top
     factor first; wraps around the tiling as often as the module is long.
-    Raises NotFiltered when the module's top is not an interval top or its
+    Raises NakayamaError when the module's top is not an interval top or its
     socle (last composition factor) is not a socle vertex, the tiling rule
     of the module docstring.  Second and higher syzygies always decompose;
     other modules may not.
@@ -203,11 +203,11 @@ def delta_filtration(
     basis = basis or base_set(series)
     check_module(series, m)
     if m.top not in basis.top_vertices:
-        raise NotFiltered(f"{m} has top {m.top}, which is not an interval top")
+        raise NakayamaError(f"{m} has top {m.top}, which is not an interval top")
     j = basis.top_vertices.index(m.top)
     count = _interval_count(basis.socle_vertices, basis.top_vertices, series.n, j, m.length)
     if count is None:
-        raise NotFiltered(f"{m} is not tiled exactly by consecutive intervals")
+        raise NakayamaError(f"{m} is not tiled exactly by consecutive intervals")
     r = len(basis.deltas)
     return [(j + k) % r for k in range(count)]
 

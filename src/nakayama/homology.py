@@ -33,7 +33,7 @@ from .core import (
     UniserialModule,
     check_module,
 )
-from .errors import InfiniteGlobalDimension, InternalError
+from .errors import InternalError, NakayamaError
 
 INFINITE = math.inf
 
@@ -243,13 +243,13 @@ def check_madsen(series: KupischSeries, table=None) -> list:
 def check_parity_interpolation(series: KupischSeries, report=None) -> list[str]:
     """Odd values up to gldim are all attained; even values interpolate.
 
-    Requires finite global dimension (raises InfiniteGlobalDimension
-    otherwise).  Between any two attained even pds every intermediate even
-    value must be attained as well.  ``report`` as in ``check_inequalities``.
+    Requires finite global dimension (raises NakayamaError otherwise).
+    Between any two attained even pds every intermediate even value must be
+    attained as well.  ``report`` as in ``check_inequalities``.
     """
     pds = (report or homology_report(series)).pd_simple
     if INFINITE in pds:
-        raise InfiniteGlobalDimension(f"{series} has infinite global dimension")
+        raise NakayamaError(f"{series} has infinite global dimension")
     gldim = max(pds)
     attained = set(pds)
     violations = []

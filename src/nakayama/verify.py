@@ -20,6 +20,7 @@ from functools import cached_property
 from .core import CYCLIC, LINEAR, _relation_pairs
 from .enumeration import (CensusTable, _cyclic_cap, _cyclic_with_first, _is_chain,
                           _MaximalTally, enumerate_linear, is_maximal)
+from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, epsilon
 from .homology import (
     INFINITE,
@@ -222,7 +223,7 @@ def census(ns, kind: str, cap: "int | None" = None) -> CensusTable:
     rows = []
     for n in ns:
         if n < 2:
-            raise ValueError(f"census needs n >= 2, got {n}")
+            raise NakayamaError(f"census needs n >= 2, got {n}")
         tally = _MaximalTally(n, kind, cap)
         for shard_kind, first in _shards(n, cap):
             if shard_kind == kind:
@@ -257,12 +258,12 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     """
     names = list(dict.fromkeys(names))
     if not names:
-        raise ValueError("no theorems selected")
+        raise NakayamaError("no theorems selected")
     for name in names:
         if name not in _SUITE_FUNCTIONS:
-            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+            raise NakayamaError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise NakayamaError(f"jobs must be at least 1, got {jobs}")
     ns = range(2, n_max + 1)
     shards = dict.fromkeys(ns)  # n -> its raw shard results; None sweeps in this process
     tasks = sorted(((names, n, *shard) for n in ns for shard in _shards(n, cap)),

@@ -1,12 +1,20 @@
+import re
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from nakayama import (CYCLIC, LINEAR, KupischSeries, UniserialModule, enumerate_cyclic,
                       enumerate_linear)
+from nakayama.errors import NakayamaError
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def input_error(message):
+    """``pytest.raises`` for a NakayamaError whose message is exactly ``message``."""
+    return pytest.raises(NakayamaError, match=f"^{re.escape(message)}$")
 
 
 @st.composite

@@ -23,19 +23,10 @@ from nakayama import (
     validate,
 )
 from nakayama.core import format_kupisch, format_relations, parse_kupisch, parse_relations
-from nakayama.errors import (
-    BadTail,
-    EmptyCyclicSystem,
-    InternalError,
-    InvalidModule,
-    NakayamaError,
-    RedundantRelations,
-    ShortProjective,
-    StepViolation,
-)
+from nakayama.errors import InternalError, NakayamaError
 
 import oracles
-from conftest import any_series, cyclic_series, enumerated_series, series_with_module
+from conftest import any_series, cyclic_series, enumerated_series, input_error, series_with_module
 from oracles import (
     brute_force_cyclic,
     brute_force_linear,
@@ -58,42 +49,44 @@ def test_validate_known_examples():
 
 
 @pytest.mark.parametrize(
-    "kind, c, err",
+    "kind, c, message",
     [
-        (CYCLIC, (4, 2, 3), StepViolation),
-        (CYCLIC, (2, 1, 2), ShortProjective),
-        (CYCLIC, (1,), ShortProjective),
-        (LINEAR, (2, 2, 2), BadTail),
-        (LINEAR, (5, 3, 2, 1), BadTail),
-        (LINEAR, (2, 1, 2, 1), ShortProjective),
-        (LINEAR, (3, 1), BadTail),
+        pytest.param(CYCLIC, (4, 2, 3), "c_2 = 2 < c_1 - 1 = 3", id="cyclic-c0-StepViolation"),
+        pytest.param(CYCLIC, (2, 1, 2), "cyclic series needs c_i >= 2, got c_2 = 1",
+                     id="cyclic-c1-ShortProjective"),
+        pytest.param(CYCLIC, (1,), "cyclic series needs c_i >= 2, got c_1 = 1",
+                     id="cyclic-c2-ShortProjective"),
+        pytest.param(LINEAR, (2, 2, 2), "linear series must end in 1, got c_3 = 2",
+                     id="linear-c3-BadTail"),
+        pytest.param(LINEAR, (5, 3, 2, 1), "c_1 = 5 exceeds n - i + 1 = 4",
+                     id="linear-c4-BadTail"),
+        pytest.param(LINEAR, (2, 1, 2, 1), "linear series needs c_i >= 2 for i < n, got c_2 = 1",
+                     id="linear-c5-ShortProjective"),
+        pytest.param(LINEAR, (3, 1), "c_1 = 3 exceeds n - i + 1 = 2", id="linear-c6-BadTail"),
     ],
 )
-def test_validate_rejects(kind, c, err):
-    with pytest.raises(err):
+def test_validate_rejects(kind, c, message):
+    with input_error(message):
         validate(kind, c)
 
 
 @pytest.mark.parametrize(
-    "kind, c, err, message",
+    "kind, c, message",
     [
-        pytest.param(CYCLIC, (2, 1, 2), ShortProjective,
-                     "cyclic series needs c_i >= 2, got c_2 = 1", id="cyclic-short"),
-        pytest.param(CYCLIC, (4, 2, 3), StepViolation, "c_2 = 2 < c_1 - 1 = 3", id="cyclic-step"),
-        pytest.param(CYCLIC, (2, 3, 4), StepViolation, "c_1 = 2 < c_3 - 1 = 3",
-                     id="cyclic-step-wrap"),
-        pytest.param(LINEAR, (2, 2, 2), BadTail, "linear series must end in 1, got c_3 = 2",
+        pytest.param(CYCLIC, (2, 1, 2), "cyclic series needs c_i >= 2, got c_2 = 1",
+                     id="cyclic-short"),
+        pytest.param(CYCLIC, (4, 2, 3), "c_2 = 2 < c_1 - 1 = 3", id="cyclic-step"),
+        pytest.param(CYCLIC, (2, 3, 4), "c_1 = 2 < c_3 - 1 = 3", id="cyclic-step-wrap"),
+        pytest.param(LINEAR, (2, 2, 2), "linear series must end in 1, got c_3 = 2",
                      id="linear-tail"),
-        pytest.param(LINEAR, (2, 1, 2, 1), ShortProjective,
-                     "linear series needs c_i >= 2 for i < n, got c_2 = 1", id="linear-short"),
-        pytest.param(LINEAR, (2, 5, 3, 2, 1), BadTail, "c_2 = 5 exceeds n - i + 1 = 4",
-                     id="linear-bound"),
-        pytest.param(LINEAR, (2, 4, 2, 2, 1), StepViolation, "c_3 = 2 < c_2 - 1 = 3",
-                     id="linear-step"),
+        pytest.param(LINEAR, (2, 1, 2, 1), "linear series needs c_i >= 2 for i < n, got c_2 = 1",
+                     id="linear-short"),
+        pytest.param(LINEAR, (2, 5, 3, 2, 1), "c_2 = 5 exceeds n - i + 1 = 4", id="linear-bound"),
+        pytest.param(LINEAR, (2, 4, 2, 2, 1), "c_3 = 2 < c_2 - 1 = 3", id="linear-step"),
     ],
 )
-def test_each_kupisch_rule_words_its_error(kind, c, err, message):
-    with pytest.raises(err) as exc:
+def test_each_kupisch_rule_words_its_error(kind, c, message):
+    with pytest.raises(NakayamaError) as exc:
         validate(kind, c)
     assert str(exc.value) == message
 
@@ -255,12 +248,12 @@ def test_loop_algebra_round_trip():
 
 
 def test_relation_system_rejects():
-    with pytest.raises(RedundantRelations, match=r"\(1, 3\) contains relation \(2, 3\)$"):
+    with input_error("relation (1, 3) contains relation (2, 3)"):
         RelationSystem(CYCLIC, 4, ((1, 3), (2, 3)))
-    with pytest.raises(RedundantRelations, match=r"\(2, 7\) contains relation \(1, 4\)$"):
+    with input_error("relation (2, 7) contains relation (1, 4)"):
         # second relation wraps around and swallows a shifted copy of the first
         RelationSystem(CYCLIC, 2, ((1, 4), (2, 7)))
-    with pytest.raises(EmptyCyclicSystem):
+    with input_error("a cyclic quiver needs at least one relation"):
         RelationSystem(CYCLIC, 3, ())
 
 
@@ -268,7 +261,9 @@ def _accepted(kind, n, relations) -> bool:
     """Does the constructor accept the system?  It is valid apart from containment."""
     try:
         RelationSystem(kind, n, relations)
-    except RedundantRelations:
+    except NakayamaError as error:
+        if "contains relation" not in str(error):
+            raise
         return False
     return True
 
@@ -329,7 +324,7 @@ def test_one_pass_relations_to_kupisch_matches_the_oracle_up_to_9(drawn):
     except NakayamaError as error:  # the lengths fail validation: the same way on both routes
         with pytest.raises(NakayamaError) as raised:
             relations_to_kupisch(system)
-        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
     else:
         assert relations_to_kupisch(system) == expected
 
@@ -363,7 +358,9 @@ def test_n_cyclic_relations_are_accepted_iff_their_lengths_agree(drawn):
     equal = len({e - s for s, e in relations}) == 1
     try:
         system = RelationSystem(CYCLIC, n, relations)
-    except RedundantRelations:
+    except NakayamaError as error:
+        if "contains relation" not in str(error):
+            raise
         assert not equal
     else:
         assert equal and relations_to_kupisch(system).is_selfinjective
@@ -401,9 +398,9 @@ def test_a_syzygy_that_is_too_long_is_an_internal_error():
 
 def test_syzygy_rejects_invalid_module():
     s = validate(CYCLIC, (3, 4, 4))
-    with pytest.raises(InvalidModule):
+    with input_error("length 4 not in 1..c_1 = 3"):
         syzygy(s, UniserialModule(1, 4))
-    with pytest.raises(InvalidModule):
+    with input_error("top 4 out of range 1..3"):
         syzygy(s, UniserialModule(4, 1))
 
 

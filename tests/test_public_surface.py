@@ -2,14 +2,18 @@
 
 A name in ``nakayama.__all__`` stays only if something outside ``tests/``
 uses it: another package module, a script, the benchmark harness, or the
-README's "Library sketch".
+README's "Library sketch".  The package raises exactly two exception classes:
+``NakayamaError`` for bad input and ``InternalError`` for a bug.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import nakayama
+import nakayama.errors
+from nakayama.errors import InternalError, NakayamaError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +57,23 @@ def test_the_library_sketch_computes_what_its_comments_say():
         checked.append(shown)
     assert checked == ["(4,3,1)", "((1,3),(2,5))", "(2,3)", "'linear'",
                        "{2:1,3:3,4:8,5:21,6:55,7:144}"]
+
+
+def test_the_errors_module_defines_exactly_two_classes():
+    defined = [name for name, value in vars(nakayama.errors).items()
+               if inspect.isclass(value) and value.__module__ == nakayama.errors.__name__]
+    assert sorted(defined) == ["InternalError", "NakayamaError"]
+    assert issubclass(NakayamaError, ValueError)
+    # the CLI catches ValueError first, so a bug must not be one
+    assert not issubclass(InternalError, (NakayamaError, ValueError))
+
+
+def test_every_raise_in_the_package_names_one_of_the_two_classes():
+    raised = []
+    for path in sorted((ROOT / "src" / "nakayama").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):  # a bare re-raise names no class
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((path.name, node.lineno, getattr(exc, "id", None)))
+    assert raised
+    assert [r for r in raised if r[2] not in ("NakayamaError", "InternalError")] == []

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -41,6 +42,19 @@ def test_tower_survey_exits_2_on_a_mismatch(tower_survey, monkeypatch, capsys):
     assert tower_survey.main() == 2
     lines = capsys.readouterr().out.splitlines()
     assert [("MISMATCHES 1" in line) for line in lines] == [False, False, True, False]
+
+
+def test_tower_survey_cap_adds_only_infinite_global_dimension(tower_survey, monkeypatch, capsys):
+    def survey(*cap):
+        monkeypatch.setattr(sys, "argv", ["tower_survey.py", "--n-max", "4", *cap])
+        assert tower_survey.main() == 0
+        lines = capsys.readouterr().out.splitlines()[1:]  # n = 1 has only selfinjective classes
+        assert not any("MISMATCHES" in line for line in lines)
+        return ([int(line.split()[1]) for line in lines],
+                [int(re.search(r"linear:(\d+)", line).group(1)) for line in lines])
+
+    assert survey() == ([1, 8, 39], [1, 4, 15])
+    assert survey("--cap", "12") == ([10, 29, 84], [1, 4, 15])
 
 
 @pytest.mark.parametrize("name", ["fibonacci_census", "tower_survey"])
