@@ -18,6 +18,11 @@ depends on t alone (the arrow of Ringel's resolution quiver, J. Algebra
 2013), so the pds of the modules with top t follow from those with top
 t + c_t.  On a line, where c_v <= n - v + 1, a projective P_t that reaches
 the sink (t + c_t = n + 1) forces d = 0: each non-projective M(t, l) has pd 1.
+
+The start-row rule: if v starts no relation, c_v = c_{v+1} + 1 and Omega M(v, l) =
+M(v + l, c_v - l) = Omega M(v + 1, l - 1), so pd S_v = 1 (Omega S_v = P_{v+1}) and
+pd M(v, l) = pd M(v + 1, l - 1) for l >= 2.  Only the relation starts, the v with
+c_v <= c_{v+1}, need the jump; on a line they never reach the sink.
 """
 
 from __future__ import annotations
@@ -83,39 +88,62 @@ def _pd_walk(c, top, length, memo):
 def pd_simples(series: KupischSeries) -> tuple:
     """Projective dimension of every simple module, indexed by vertex.
 
-    c_{v+1} = c_v - 1 is the jump's d = 0 at length 1 (Omega S_v = P_{v+1}): pd 1, not walked.
+    A vertex that starts no relation has pd 1, the start-row rule at length 1: not walked.
     """
     c, n, memo = series.c, series.n, {}
     return tuple(1 if c[v % n] == c[v - 1] - 1 else _pd_walk(c, v, 1, memo) for v in range(1, n + 1))
 
 
 def _module_table(series: KupischSeries) -> list:
-    """Every module's pd at [top - 1][length - 1], one row per top, by the jump.
+    """Every module's pd at [top - 1][length - 1], one row per top, by the start-row rule.
 
-    Row t reads only row t + c_t, so the rows on the path t -> t + c_t -> ...
-    up to a filled row are filled in reverse; a path that closes a new cycle
-    fills its last row by ``_pd_walk``.  One pass checks the step rule first.
+    Row t is [1] + row t + 1 unless t starts a relation; then it is read from row t + c_t
+    by the jump.  The rows on a path of this row graph up to a filled row are filled in
+    reverse.  A path that closes a new cycle first walks each length of its last row in
+    place, sliding or jumping along the cycle up to a pd or a length of that row seen
+    before (INFINITE if on this walk).  One pass checks the step rule first.
     """
     c, n, linear = series.c, series.n, series.kind == LINEAR
     for v in range(n - 1 if linear else n):
         if c[(v + 1) % n] < c[v] - 1:
             raise InternalError(f"[{','.join(map(str, c))}] drops by more than 1"
                                 f" from vertex {v + 1}")
-    table = [[1] * (cv - 1) + [0] if linear and v + cv >= n else None for v, cv in enumerate(c)]
-    memo = {}
+    table = [None] * (n - 1) + [[0] if linear else None]  # a line's sink: P_n = S_n
     for start in range(n):
         path, t = [], start
         while table[t] is None:
             table[t] = path  # marks the rows on the current path
             path.append(t)
-            t = (t + c[t]) % n
+            t = (t + c[t]) % n if c[t] <= c[(t + 1) % n] else (t + 1) % n
         if table[t] is path:  # a new cycle closes at row t
-            table[t] = [_pd_walk(c, t + 1, length, memo) for length in range(1, c[t])] + [0]
             path.remove(t)
+            row = table[t] = [None] * (c[t] - 1) + [0]
+            for first in range(1, c[t]):
+                x, length, steps, seen = t, first, 0, []
+                while x != t or (base := row[length - 1]) is None:
+                    if x == t:
+                        row[length - 1] = INFINITE
+                        seen.append((length, steps))
+                    elif length == c[x]:
+                        base = 0
+                        break
+                    if (d := c[(x + length) % n] - c[x] + length) == 0:
+                        base = 1
+                        break
+                    if c[x] > c[(x + 1) % n]:
+                        x, length = (x + 1) % n, length - 1
+                    else:
+                        x, length, steps = (x + c[x]) % n, d, steps + 2
+                for length, at in seen:
+                    row[length - 1] = base + steps - at  # INFINITE - at == INFINITE
         for t in reversed(path):
-            ct, after = c[t], table[(t + c[t]) % n]
-            table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0 else 2 + after[d - 1]
-                        for length in range(1, ct)] + [0]
+            ct, u = c[t], (t + 1) % n
+            if ct > c[u]:
+                table[t] = [1] + table[u]
+            else:
+                after = table[(t + ct) % n]
+                table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0 else 2 + after[d - 1]
+                            for length in range(1, ct)] + [0]
     return table
 
 
@@ -227,12 +255,12 @@ def check_madsen(series: KupischSeries, table=None) -> list:
     """
     if table is None:
         table = _module_table(series)
-    n, pds = series.n, [row[0] for row in table]
+    pds = [row[0] for row in table] * (2 + max(series.c) // series.n)  # read past vertex n
     violations = []
     for top, row in enumerate(table, 1):
         best = None  # largest finite pd among the factors so far
         for length, p in enumerate(row[:-1], 1):  # projectives have pd 0
-            q = pds[(top + length - 2) % n]
+            q = pds[top + length - 2]
             if q != INFINITE and (best is None or q > best):
                 best = q
             if p != INFINITE and p % 2 == 1 and p != best:

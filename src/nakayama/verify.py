@@ -65,6 +65,7 @@ class _Profile:
     pairs = _lazy(lambda self: _relation_pairs(self.series.kind, self.series.c))
     r = _lazy(lambda self: len(self.pairs) + (self.series.kind == LINEAR))  # RelationSystem.r
     chain = _lazy(lambda self: _is_chain(self.series.kind, self.series.n, self.pairs))
+    maximal = _lazy(lambda self: is_maximal(self.report))
     step = _lazy(lambda self: epsilon(self.series))  # the first reduction
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.series.is_selfinjective else
@@ -111,7 +112,7 @@ def _parity(profile):
 
 
 def _chain(profile):
-    maximal, chain = is_maximal(profile.report), profile.chain
+    maximal, chain = profile.maximal, profile.chain
     return [] if maximal == chain else [f"{profile.series}: maximal={maximal} but chain={chain}"]
 
 
@@ -173,7 +174,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
                 found[name][0] += 1
                 found[name][1].extend(violations)
         if fibonacci:
-            tally.add(series, is_maximal(profile.report), profile.r, _chain(profile))
+            tally.add(series, profile.maximal, profile.r, _chain(profile))
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 

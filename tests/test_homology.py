@@ -32,7 +32,8 @@ from nakayama.errors import InternalError
 from nakayama.homology import _module_table, _pd_walk, all_modules
 
 from conftest import any_series, cyclic_series, enumerated_series, input_error, linear_series
-from oracles import module_vertices, oracle_module_table, oracle_pd, oracle_quasi_hereditary
+from oracles import (module_vertices, oracle_module_table, oracle_pd, oracle_quasi_hereditary,
+                     oracle_relations)
 
 
 def all_algebras(n_max, cap=None):
@@ -107,18 +108,78 @@ def test_module_table_matches_the_single_step_walk():
         assert _module_table(series) == oracle_module_table(series), series
 
 
-def _on_a_cycle(series, t):
-    """Whether row t (0-based) lies on a cycle of t -> t + c_t, which a line has none of."""
-    c, n, u = series.c, series.n, t
-    for _ in range(n if series.kind == CYCLIC else 0):
-        u = (u + c[u]) % n
+def _next_row(series, t):
+    """Row t's successor (0-based) in the row graph of ``_module_table``: t + c_t when a
+    relation starts at t (c_t <= c_{t+1}), else t + 1."""
+    c, n = series.c, series.n
+    return (t + c[t]) % n if c[t] <= c[(t + 1) % n] else (t + 1) % n
+
+
+def _cycle_through(series, t):
+    """The rows of the row-graph cycle through row t (0-based), or () if none; a line has none."""
+    rows, u = [t], _next_row(series, t)
+    for _ in range(series.n if series.kind == CYCLIC else 0):
         if u == t:
-            return True
-    return False
+            return tuple(rows)
+        rows.append(u)
+        u = _next_row(series, u)
+    return ()
+
+
+def _walked_rows(series):
+    """The row of each row-graph cycle that ``_module_table`` walks: the first one met by
+    the paths from rows 0, 1, ... in turn."""
+    met, walked = set(), []
+    for start in range(series.n if series.kind == CYCLIC else 0):
+        path, t = [], start
+        while t not in met:
+            met.add(t)
+            path.append(t)
+            t = _next_row(series, t)
+        if t in path:
+            walked.append(t)
+    return walked
+
+
+def _assert_table_shape(series, table):
+    # each row its own list, of length c_t, ending in pd 0, holding no walk marker
+    assert len({id(row) for row in table}) == len(table) == series.n, series
+    for ct, row in zip(series.c, table):
+        assert len(row) == ct and row[-1] == 0, (series, row)
+        assert all(type(p) is int or p == INFINITE for p in row), (series, row)
+
+
+def test_module_table_rows_are_whole_lists_of_pds():
+    for series in enumerated_series():
+        _assert_table_shape(series, _module_table(series))
+
+
+@given(st.integers(1, 10).flatmap(lambda n: cyclic_series(min_n=n, max_n=n, max_entry=3 * n + 1)))
+@settings(max_examples=300)
+def test_module_table_rows_are_whole_lists_of_pds_on_drawn_series(series):
+    _assert_table_shape(series, _module_table(series))
+
+
+def test_a_row_without_a_relation_start_is_one_then_the_next_row():
+    # the start-row rule on the single-step table: a vertex v that starts no relation
+    # (by path death) has c_v = c_{v+1} + 1, pd S_v = 1 and pd M(v, l) = pd M(v + 1, l - 1);
+    # the package table is checked against the same single-step table on the way
+    copied = 0
+    for series in enumerated_series():
+        c, n, table = series.c, series.n, oracle_module_table(series)
+        assert _module_table(series) == table, series
+        starts = {start - 1 for start, _ in oracle_relations(series)}
+        for v in range(n if series.kind == CYCLIC else n - 1):
+            assert (v not in starts) == (c[v] == c[(v + 1) % n] + 1), (series, v)
+            if v not in starts:
+                assert table[v] == [1] + table[(v + 1) % n], (series, v)
+                copied += 1
+    assert copied
 
 
 def test_module_table_matches_the_single_step_walk_on_drawn_series():
     rows = Counter()  # (kind, on a cycle) of every drawn row
+    seen = Counter()  # the cycle shapes the walk in _module_table must meet
 
     @given(st.one_of(
         st.integers(1, 10).flatmap(
@@ -126,12 +187,22 @@ def test_module_table_matches_the_single_step_walk_on_drawn_series():
         linear_series(max_n=12)))
     @settings(max_examples=300)
     def check(series):
-        assert _module_table(series) == oracle_module_table(series)
-        rows.update((series.kind, _on_a_cycle(series, t)) for t in range(series.n))
+        table = _module_table(series)
+        assert table == oracle_module_table(series)
+        c, n = series.c, series.n
+        rows.update((series.kind, bool(_cycle_through(series, t))) for t in range(n))
+        for t in _walked_rows(series):
+            cycle = _cycle_through(series, t)
+            seen["through a row that starts no relation"] |= any(
+                c[u] == c[(u + 1) % n] + 1 for u in cycle)
+            seen["walked row with finite and infinite pds"] |= (
+                INFINITE in table[t] and any(p != INFINITE for p in table[t][:-1]))
+            seen["self-loop with n >= 2"] |= len(cycle) == 1 and n >= 2
 
     check()
-    # rows on a cycle come from the walk, the others from the row they jump to
+    # rows on a cycle come from its walked row, the others from the row they lead to
     assert rows[CYCLIC, True] and rows[CYCLIC, False] and rows[LINEAR, False]
+    assert len(seen) == 3 and all(seen.values()), seen
 
 
 def test_the_jump_is_two_syzygy_steps():
