@@ -122,12 +122,12 @@ def _module_table(series: KupischSeries) -> list:
                 x, length, steps, seen = t, first, 0, []
                 while x != t or (base := row[length - 1]) is None:
                     if x == t:
-                        row[length - 1] = INFINITE
+                        row[length - 1] = INFINITE  # stands if this walk meets it again
                         seen.append((length, steps))
                     elif length == c[x]:
                         base = 0
                         break
-                    if (d := c[(x + length) % n] - c[x] + length) == 0:
+                    if (d := c[(x + length) % n] - c[x] + length) == 0:  # Omega M is projective
                         base = 1
                         break
                     if c[x] > c[(x + 1) % n]:
@@ -138,12 +138,12 @@ def _module_table(series: KupischSeries) -> list:
                     row[length - 1] = base + steps - at  # INFINITE - at == INFINITE
         for t in reversed(path):
             ct, u = c[t], (t + 1) % n
-            if ct > c[u]:
+            if ct > c[u]:  # no relation starts at t
                 table[t] = [1] + table[u]
             else:
                 after = table[(t + ct) % n]
-                table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0 else 2 + after[d - 1]
-                            for length in range(1, ct)] + [0]
+                table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0
+                            else 2 + after[d - 1] for length in range(1, ct)] + [0]
     return table
 
 

@@ -179,7 +179,9 @@ def test_a_row_without_a_relation_start_is_one_then_the_next_row():
 
 def test_module_table_matches_the_single_step_walk_on_drawn_series():
     rows = Counter()  # (kind, on a cycle) of every drawn row
-    seen = Counter()  # the cycle shapes the walk in _module_table must meet
+    seen = dict.fromkeys((  # the cycle shapes the walk in _module_table must meet
+        "through a row that starts no relation", "walked row with finite and infinite pds",
+        "self-loop with n >= 2"), False)
 
     @given(st.one_of(
         st.integers(1, 10).flatmap(
@@ -202,7 +204,7 @@ def test_module_table_matches_the_single_step_walk_on_drawn_series():
     check()
     # rows on a cycle come from its walked row, the others from the row they lead to
     assert rows[CYCLIC, True] and rows[CYCLIC, False] and rows[LINEAR, False]
-    assert len(seen) == 3 and all(seen.values()), seen
+    assert all(seen.values()), seen
 
 
 def test_the_jump_is_two_syzygy_steps():
