@@ -250,15 +250,11 @@ def relations_to_kupisch(system: RelationSystem) -> KupischSeries:
 
 def normalize_relation_labels(system: RelationSystem) -> RelationSystem:
     """Rotate vertex labels so the smallest relation start becomes 1 (cyclic only)."""
-    if system.kind != CYCLIC or not system.relations:
+    if system.kind != CYCLIC:
         return system
-    shift = min(s for s, _ in system.relations) - 1
-    if shift == 0:
-        return system
-    n = system.n
-    rel = tuple(((s - shift - 1) % n + 1, (s - shift - 1) % n + 1 + (e - s))
-                for s, e in system.relations)
-    return RelationSystem(CYCLIC, n, rel)
+    shift = system.relations[0][0] - 1  # the starts are sorted, so each s - shift is in 1..n
+    return RelationSystem(CYCLIC, system.n,
+                          tuple((s - shift, e - shift) for s, e in system.relations))
 
 
 # ---------------------------------------------------------------------------

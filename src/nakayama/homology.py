@@ -23,6 +23,14 @@ The start-row rule: if v starts no relation, c_v = c_{v+1} + 1 and Omega M(v, l)
 M(v + l, c_v - l) = Omega M(v + 1, l - 1), so pd S_v = 1 (Omega S_v = P_{v+1}) and
 pd M(v, l) = pd M(v + 1, l - 1) for l >= 2.  Only the relation starts, the v with
 c_v <= c_{v+1}, need the jump; on a line they never reach the sink.
+
+The fixpoint fill.  Every cycle of the row graph (t -> t + 1 at a non-start, t -> t + c_t
+at a start) holds a relation start, as c falls along non-starts.  So one turn round a cycle
+takes each pd of its row t to a constant (0 at a projective; 1 at d = 0, or at length 1 on
+a non-start) or to a pd of row t plus at least 2; a finite pd is not itself plus 2, so row t
+has one fixpoint.  Seeded with INFINITE, each entry of row t is final or INFINITE after every
+pass; a pass that changes row t makes an entry final and one that does not is at the
+fixpoint, so c_t passes suffice.  Only then are the cycle's other rows final as well.
 """
 
 from __future__ import annotations
@@ -97,17 +105,26 @@ def pd_simples(series: KupischSeries) -> tuple:
 def _module_table(series: KupischSeries) -> list:
     """Every module's pd at [top - 1][length - 1], one row per top, by the start-row rule.
 
-    Row t is [1] + row t + 1 unless t starts a relation; then it is read from row t + c_t
-    by the jump.  The rows on a path of this row graph up to a filled row are filled in
-    reverse.  A path that closes a new cycle first walks each length of its last row in
-    place, sliding or jumping along the cycle up to a pd or a length of that row seen
-    before (INFINITE if on this walk).  One pass checks the step rule first.
+    Row t is [1] + row t + 1 unless t starts a relation; then it is read from row t + c_t by
+    the jump.  Each path of this row graph is filled in reverse, a cycle it closes by the
+    fixpoint fill of the module docstring; the step rule is checked first.
     """
     c, n, linear = series.c, series.n, series.kind == LINEAR
     for v in range(n - 1 if linear else n):
         if c[(v + 1) % n] < c[v] - 1:
             raise InternalError(f"[{','.join(map(str, c))}] drops by more than 1"
                                 f" from vertex {v + 1}")
+
+    def fill(rows):  # in reverse, so each row reads a filled one
+        for t in reversed(rows):
+            ct, u = c[t], (t + 1) % n
+            if ct > c[u]:  # no relation starts at t
+                table[t] = [1] + table[u]
+            else:
+                after = table[(t + ct) % n]
+                table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0
+                            else 2 + after[d - 1] for length in range(1, ct)] + [0]
+
     table = [None] * (n - 1) + [[0] if linear else None]  # a line's sink: P_n = S_n
     for start in range(n):
         path, t = [], start
@@ -116,34 +133,16 @@ def _module_table(series: KupischSeries) -> list:
             path.append(t)
             t = (t + c[t]) % n if c[t] <= c[(t + 1) % n] else (t + 1) % n
         if table[t] is path:  # a new cycle closes at row t
-            path.remove(t)
-            row = table[t] = [None] * (c[t] - 1) + [0]
-            for first in range(1, c[t]):
-                x, length, steps, seen = t, first, 0, []
-                while x != t or (base := row[length - 1]) is None:
-                    if x == t:
-                        row[length - 1] = INFINITE  # stands if this walk meets it again
-                        seen.append((length, steps))
-                    elif length == c[x]:
-                        base = 0
-                        break
-                    if (d := c[(x + length) % n] - c[x] + length) == 0:  # Omega M is projective
-                        base = 1
-                        break
-                    if c[x] > c[(x + 1) % n]:
-                        x, length = (x + 1) % n, length - 1
-                    else:
-                        x, length, steps = (x + c[x]) % n, d, steps + 2
-                for length, at in seen:
-                    row[length - 1] = base + steps - at  # INFINITE - at == INFINITE
-        for t in reversed(path):
-            ct, u = c[t], (t + 1) % n
-            if ct > c[u]:  # no relation starts at t
-                table[t] = [1] + table[u]
+            path, cycle = path[:path.index(t)], path[path.index(t):]
+            table[t] = [INFINITE] * (c[t] - 1) + [0]
+            for _ in range(c[t]):
+                row = table[t]
+                fill(cycle)
+                if table[t] == row:
+                    break
             else:
-                after = table[(t + ct) % n]
-                table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0
-                            else 2 + after[d - 1] for length in range(1, ct)] + [0]
+                raise InternalError(f"row {t + 1} of {list(c)} is not fixed after {c[t]} passes")
+        fill(path)
     return table
 
 

@@ -221,10 +221,10 @@ def census(ns, kind: str, cap: "int | None" = None) -> CensusTable:
     below 2n-1 is compared as ``_MaximalTally`` says.  Disagreements go to the
     rows' ``violations``; the homology theorems are left to ``nakayama verify``.
     """
-    rows = []
+    rows, ns = [], list(ns)
+    if low := [n for n in ns if n < 2]:  # every n is checked before any is swept
+        raise NakayamaError(f"census needs n >= 2, got {low[0]}")
     for n in ns:
-        if n < 2:
-            raise NakayamaError(f"census needs n >= 2, got {n}")
         tally = _MaximalTally(n, kind, cap)
         for shard_kind, first in _shards(n, cap):
             if shard_kind == kind:

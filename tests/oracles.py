@@ -59,9 +59,17 @@ def oracle_pd(series: KupischSeries, m: UniserialModule):
 def oracle_module_table(series: KupischSeries) -> list:
     """Every module's pd at [top - 1][length - 1], one ``oracle_syzygy`` step at a time.
 
-    Each module is stepped at most once: a walk stops at a module already
-    known, and -1 marks the modules on the current walk, so reaching one
-    closes a cycle of infinite pd.
+    Built once per series; each call hands out fresh row lists, so no caller can
+    change the cached table.
+    """
+    return [list(row) for row in _oracle_module_rows(series)]
+
+
+@functools.cache
+def _oracle_module_rows(series: KupischSeries) -> tuple:
+    """The rows of ``oracle_module_table``.  Each module is stepped at most once: a walk
+    stops at a module already known, and -1 marks the modules on the current walk, so
+    reaching one closes a cycle of infinite pd.
     """
     c = series.c
     table = [[None] * (ct - 1) + [0] for ct in c]
@@ -77,7 +85,7 @@ def oracle_module_table(series: KupischSeries) -> list:
             for top, length in reversed(path):
                 base = base + 1
                 table[top - 1][length - 1] = base
-    return table
+    return tuple(map(tuple, table))
 
 
 def oracle_tiled(series: KupischSeries, m: UniserialModule) -> bool:

@@ -126,10 +126,10 @@ def _cycle_through(series, t):
     return ()
 
 
-def _walked_rows(series):
-    """The row of each row-graph cycle that ``_module_table`` walks: the first one met by
+def _closing_rows(series):
+    """The row where ``_module_table`` closes each row-graph cycle: the first one met by
     the paths from rows 0, 1, ... in turn."""
-    met, walked = set(), []
+    met, closing = set(), []
     for start in range(series.n if series.kind == CYCLIC else 0):
         path, t = [], start
         while t not in met:
@@ -137,8 +137,8 @@ def _walked_rows(series):
             path.append(t)
             t = _next_row(series, t)
         if t in path:
-            walked.append(t)
-    return walked
+            closing.append(t)
+    return closing
 
 
 def _assert_table_shape(series, table):
@@ -179,8 +179,8 @@ def test_a_row_without_a_relation_start_is_one_then_the_next_row():
 
 def test_module_table_matches_the_single_step_walk_on_drawn_series():
     rows = Counter()  # (kind, on a cycle) of every drawn row
-    seen = dict.fromkeys((  # the cycle shapes the walk in _module_table must meet
-        "through a row that starts no relation", "walked row with finite and infinite pds",
+    seen = dict.fromkeys((  # the cycle shapes the fixpoint fill in _module_table must meet
+        "through a row that starts no relation", "closing row with finite and infinite pds",
         "self-loop with n >= 2"), False)
 
     @given(st.one_of(
@@ -193,18 +193,31 @@ def test_module_table_matches_the_single_step_walk_on_drawn_series():
         assert table == oracle_module_table(series)
         c, n = series.c, series.n
         rows.update((series.kind, bool(_cycle_through(series, t))) for t in range(n))
-        for t in _walked_rows(series):
+        for t in _closing_rows(series):
             cycle = _cycle_through(series, t)
             seen["through a row that starts no relation"] |= any(
                 c[u] == c[(u + 1) % n] + 1 for u in cycle)
-            seen["walked row with finite and infinite pds"] |= (
+            seen["closing row with finite and infinite pds"] |= (
                 INFINITE in table[t] and any(p != INFINITE for p in table[t][:-1]))
             seen["self-loop with n >= 2"] |= len(cycle) == 1 and n >= 2
 
     check()
-    # rows on a cycle come from its walked row, the others from the row they lead to
+    # rows on a cycle come from its closing row, the others from the row they lead to
     assert rows[CYCLIC, True] and rows[CYCLIC, False] and rows[LINEAR, False]
     assert all(seen.values()), seen
+
+
+def test_module_table_on_the_series_that_needs_the_most_fixpoint_passes():
+    # (n, n - 1, ..., n - 1) closes the cycle of rows 1 and 2 at row 1, of length n, and
+    # its fixpoint fill takes n passes, which no cyclic class with n <= 9 at the default
+    # cap exceeds; the simples' pds are checked against the jump walk of pd_simples
+    n = 400
+    series = validate(CYCLIC, (n,) + (n - 1,) * (n - 1))
+    start = time.process_time()
+    table = _module_table(series)
+    assert time.process_time() - start < 10
+    assert tuple(row[0] for row in table) == pd_simples(series)
+    assert [len(row) for row in table] == list(series.c)
 
 
 def test_the_jump_is_two_syzygy_steps():

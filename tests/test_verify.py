@@ -27,6 +27,7 @@ from nakayama import (
     validate,
 )
 from nakayama.enumeration import _cyclic_with_first, _is_chain
+from nakayama.errors import NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
 from nakayama.homology import _module_table
 from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _Sweep,
@@ -210,6 +211,19 @@ def test_census_reports_each_algebra_of_its_kind_once(monkeypatch, kind):
     assert calls == swept
 
 
+def test_census_checks_every_n_before_it_sweeps_any(monkeypatch):
+    calls = []
+
+    def counted(*task):
+        calls.append(task)
+        return _sweep_shard(*task)
+
+    monkeypatch.setattr(nakayama.verify, "_sweep_shard", counted)
+    with pytest.raises(NakayamaError, match="census needs n >= 2, got 1"):
+        census([7, 1], CYCLIC)
+    assert calls == []
+
+
 def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     flipped = (3, 2, 2)  # maximal at n = 3
     monkeypatch.setattr(nakayama.verify, "_is_chain", lambda kind, n, pairs: _is_chain(
@@ -221,7 +235,7 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert census([3], CYCLIC).violations.count(text) == 1
 
 
-_PROFILE_FIELDS = ("table", "report", "pairs", "r", "chain", "step", "terminal")
+_PROFILE_FIELDS = ("table", "report", "pairs", "r", "chain", "maximal", "step", "terminal")
 
 
 def test_lazy_fields_read_on_the_class_are_their_descriptors():
