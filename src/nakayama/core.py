@@ -210,14 +210,14 @@ class RelationSystem:
         return len(self.relations) + (1 if self.kind == LINEAR else 0)
 
 
-def _relation_pairs(kind: str, c: tuple) -> list:
-    """The relation starts are the v with c_v <= c_{v+1}; each gives (v, v + c_v - 1).
+def _relation_pairs(c: tuple) -> list:
+    """The relation starts are the v with 2 <= c_v <= c_{v+1}, c read mod n; each gives
+    (v, v + c_v - 1).  Only a line's sink has c_v = 1; its formal relation is not stored.
 
     The one home of that rule, read straight from c: ``kupisch_to_relations``
     validates the pairs as a ``RelationSystem``; the verify sweep reads them bare.
     """
-    after = c[1:] + c[:1] if kind == CYCLIC else c[1:]  # a line's sink starts nothing
-    return [(v, v + a - 1) for v, (a, b) in enumerate(zip(c, after), 1) if a <= b]
+    return [(v, v + a - 1) for v, (a, b) in enumerate(zip(c, c[1:] + c[:1]), 1) if 1 < a <= b]
 
 
 def kupisch_to_relations(series: KupischSeries) -> RelationSystem:
@@ -226,7 +226,7 @@ def kupisch_to_relations(series: KupischSeries) -> RelationSystem:
     Each start v contributes the zero path of length c_v, i.e. the pair
     (v, v + c_v - 1).  Inverse of ``relations_to_kupisch``.
     """
-    return RelationSystem(series.kind, series.n, _relation_pairs(series.kind, series.c))
+    return RelationSystem(series.kind, series.n, _relation_pairs(series.c))
 
 
 def relations_to_kupisch(system: RelationSystem) -> KupischSeries:

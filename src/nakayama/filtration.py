@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import CYCLIC, LINEAR, KupischSeries, UniserialModule, check_module
-from .errors import InternalError, NakayamaError
+from .errors import NakayamaError
 
 TERMINAL_LINEAR = "linear"
 TERMINAL_SELFINJECTIVE = "selfinjective"
@@ -107,19 +107,14 @@ class EpsilonStep:
 def epsilon(series: KupischSeries) -> EpsilonStep:
     """The syzygy-filtered algebra, via interval counts.
 
-    The projective at an interval top ends at a socle vertex, so it is
-    tiled; the number of intervals it covers, by ``_interval_count`` on the
-    ``_socles_and_tops`` of c, is the new projective length at that vertex.
+    The projective at interval top t ends at (t + c_t - 2) mod n + 1, a socle
+    vertex by the construction of ``_socles_and_tops``, so it is tiled and
+    ``_interval_count`` always finds it; the number of intervals it covers is
+    the new projective length at that vertex.
     """
     socles, tops = _socles_and_tops(series)
-    c, n, entries = series.c, series.n, []
-    for j, top in enumerate(tops):
-        count = _interval_count(socles, tops, n, j, c[top - 1])
-        if count is None:
-            raise InternalError(
-                f"interval lengths of {series} never sum to c_{top} = {c[top - 1]}"
-            )
-        entries.append(count)
+    c, n = series.c, series.n
+    entries = [_interval_count(socles, tops, n, j, c[top - 1]) for j, top in enumerate(tops)]
     return EpsilonStep(components=_split_components(entries))
 
 

@@ -21,8 +21,8 @@ the sink (t + c_t = n + 1) forces d = 0: each non-projective M(t, l) has pd 1.
 
 The start-row rule: if v starts no relation, c_v = c_{v+1} + 1 and Omega M(v, l) =
 M(v + l, c_v - l) = Omega M(v + 1, l - 1), so pd S_v = 1 (Omega S_v = P_{v+1}) and
-pd M(v, l) = pd M(v + 1, l - 1) for l >= 2.  Only the relation starts, the v with
-c_v <= c_{v+1}, need the jump; on a line they never reach the sink.
+pd M(v, l) = pd M(v + 1, l - 1) for l >= 2.  Only the starts, the v with 2 <= c_v <= c_{v+1},
+need the jump; on a line none reaches the sink, whose row [0] is seeded from c_t = 1.
 
 The fixpoint fill.  Every cycle of the row graph (t -> t + 1 at a non-start, t -> t + c_t
 at a start) holds a relation start, as c falls along non-starts.  So one turn round a cycle
@@ -109,8 +109,8 @@ def _module_table(series: KupischSeries) -> list:
     the jump.  Each path of this row graph is filled in reverse, a cycle it closes by the
     fixpoint fill of the module docstring; the step rule is checked first.
     """
-    c, n, linear = series.c, series.n, series.kind == LINEAR
-    for v in range(n - 1 if linear else n):
+    c, n = series.c, series.n
+    for v in range(n):  # on a line the wrap step reads c_1 >= c_n - 1 = 0
         if c[(v + 1) % n] < c[v] - 1:
             raise InternalError(f"[{','.join(map(str, c))}] drops by more than 1"
                                 f" from vertex {v + 1}")
@@ -125,7 +125,7 @@ def _module_table(series: KupischSeries) -> list:
                 table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0
                             else 2 + after[d - 1] for length in range(1, ct)] + [0]
 
-    table = [None] * (n - 1) + [[0] if linear else None]  # a line's sink: P_n = S_n
+    table = [[0] if ct == 1 else None for ct in c]  # a line's sink: P_n = S_n
     for start in range(n):
         path, t = [], start
         while table[t] is None:
@@ -185,8 +185,8 @@ class HomologyReport:
 
     @property
     def lambda_one(self) -> int:
-        """Number of simples with pd != 1 (Brown's lambda), defined for every algebra."""
-        return sum(1 for p in self.pd_simple if p != 1)
+        """Number of simples with pd != 1 (Brown's lambda): ``lam[1]``, or n when 1 is not a pd."""
+        return self.lam.get(1, len(self.pd_simple))
 
     @property
     def brown_bound(self) -> int:

@@ -62,7 +62,7 @@ class _Profile:
     table = _lazy(lambda self: _module_table(self.series))
     report = _lazy(  # from the table only when it is built anyway
         lambda self: homology_report(self.series, self.table if self.tabled else None))
-    pairs = _lazy(lambda self: _relation_pairs(self.series.kind, self.series.c))
+    pairs = _lazy(lambda self: _relation_pairs(self.series.c))
     r = _lazy(lambda self: len(self.pairs) + (self.series.kind == LINEAR))  # RelationSystem.r
     chain = _lazy(lambda self: _is_chain(self.series.kind, self.series.n, self.pairs))
     maximal = _lazy(lambda self: is_maximal(self.report))

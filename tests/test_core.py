@@ -22,7 +22,8 @@ from nakayama import (
     syzygy,
     validate,
 )
-from nakayama.core import format_kupisch, format_relations, parse_kupisch, parse_relations
+from nakayama.core import (_relation_pairs, format_kupisch, format_relations, parse_kupisch,
+                           parse_relations)
 from nakayama.errors import InternalError, NakayamaError
 
 import oracles
@@ -173,6 +174,7 @@ def test_kupisch_to_relations_examples():
     assert linear.r == 2  # implicit sink relation included in the count
     cyc = kupisch_to_relations(validate(CYCLIC, (3, 4, 4)))
     assert cyc.relations == ((1, 3), (2, 5))  # plain end 5 wraps to vertex 1
+    assert _relation_pairs((1,)) == []  # the one-vertex line: its sink starts nothing
 
 
 def test_relations_oracle_agreement():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nakayama.filtration
 from nakayama import (
     CYCLIC,
     INFINITE,
@@ -21,8 +20,9 @@ from nakayama import (
     syzygy,
     validate,
 )
-from nakayama.errors import InternalError, NakayamaError
-from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _interval_count
+from nakayama.errors import NakayamaError
+from nakayama.filtration import (TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _interval_count,
+                                 _socles_and_tops)
 from nakayama.homology import all_modules
 
 from conftest import cyclic_series, enumerated_series, input_error
@@ -152,11 +152,18 @@ def test_epsilon_rejects_as_the_base_set_route_does(series, rule, text):
         assert str(exc.value) == text, (rule, route)
 
 
-def test_epsilon_reports_a_projective_that_is_not_tiled(monkeypatch):
-    monkeypatch.setattr(nakayama.filtration, "_interval_count", lambda *lookup: None)
-    with pytest.raises(InternalError) as exc:
-        epsilon(validate(CYCLIC, (3, 4, 4)))
-    assert str(exc.value) == "interval lengths of [3,4,4] never sum to c_1 = 3"
+def test_every_projective_at_an_interval_top_is_tiled():
+    # epsilon reads each count without a None check: P_t ends at a socle vertex
+    checked = 0
+    for series in enumerated_series():
+        if series.kind != CYCLIC or series.is_selfinjective:
+            continue
+        socles, tops = _socles_and_tops(series)
+        for j, t in enumerate(tops):
+            count = _interval_count(socles, tops, series.n, j, series.c[t - 1])
+            assert isinstance(count, int), (series, t)
+            checked += 1
+    assert checked
 
 
 def test_tower_examples():

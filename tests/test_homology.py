@@ -260,6 +260,18 @@ def test_a_table_of_a_series_that_drops_by_two_is_an_internal_error(kind):
         _module_table(stand_in)
 
 
+def test_a_line_that_drops_by_two_before_its_sink_is_an_internal_error():
+    # the guard runs over all n steps; on a line the wrap step, c_1 >= c_n - 1, always holds
+    stand_in = types.SimpleNamespace(kind=LINEAR, c=(3, 1, 1), n=3)
+    with pytest.raises(InternalError, match=r"^\[3,1,1\] drops by more than 1 from vertex 1$"):
+        _module_table(stand_in)
+
+
+def test_the_one_vertex_line_has_one_projective_simple_row():
+    # no enumerated series has n = 1 on a line; its sink row is the one seeded from c_t = 1
+    assert _module_table(validate(LINEAR, (1,))) == [[0]]
+
+
 @pytest.mark.parametrize("c", [(4, 2, 2), (2, 4, 2)])
 def test_a_jump_that_leaves_the_modules_is_an_internal_error(c):
     # over (4, 2, 2) Omega M(1, 1) is too long; over (2, 4, 2) Omega^2 M(1, 1) is
@@ -391,6 +403,7 @@ def test_report_flags_match_their_definitions():
     finite = 0
     for series in enumerated_series():
         r = homology_report(series)
+        assert r.lambda_one == sum(1 for p in r.pd_simple if p != 1), series
         if r.gldim == INFINITE:
             continue
         finite += 1

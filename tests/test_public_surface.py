@@ -1,4 +1,4 @@
-"""The public names earn their place, and the README's library sketch runs as written.
+"""The public names earn their place; the README's library sketch and CLI block run as written.
 
 A name in ``nakayama.__all__`` stays only if something outside ``tests/``
 uses it: another package module, a script, the benchmark harness, or the
@@ -9,10 +9,12 @@ README's "Library sketch".  The package raises exactly two exception classes:
 import ast
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import nakayama
 import nakayama.errors
+from nakayama import cli
 from nakayama.errors import InternalError, NakayamaError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +59,23 @@ def test_the_library_sketch_computes_what_its_comments_say():
         checked.append(shown)
     assert checked == ["(4,3,1)", "((1,3),(2,5))", "(2,3)", "'linear'",
                        "{2:1,3:3,4:8,5:21,6:55,7:144}"]
+
+
+def test_the_readme_cli_block_runs_as_written(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\s+```\n(.*?)```", readme, re.S).group(1)
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        program, *argv = shlex.split(code)
+        assert program == "nakayama", line
+        assert cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        arrow, _, expected = comment.partition("->")
+        if not arrow.strip() and expected:
+            assert out.splitlines()[0] == expected.strip(), line
+            checked.append(expected.strip())
+    assert checked == ["8", "4,3,2,2", "1:2;2:3"]
 
 
 def test_the_errors_module_defines_exactly_two_classes():

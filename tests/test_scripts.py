@@ -80,3 +80,17 @@ def test_fibonacci_census_exits_2_on_a_disagreement(monkeypatch, capsys):
     assert script.main() == 2
     captured = capsys.readouterr()
     assert "!! n=3 cyclic: planted" in captured.err and captured.out == ""
+
+
+def test_fibonacci_census_out_writes_the_bytes_stdout_would_get(monkeypatch, capsys, tmp_path):
+    script = load_script("fibonacci_census")
+    monkeypatch.setattr(sys, "argv", ["fibonacci_census.py", "--n-max", "3"])
+    assert script.main() == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "census.csv"
+    monkeypatch.setattr(sys, "argv", ["fibonacci_census.py", "--n-max", "3", "--out", str(out)])
+    assert script.main() == 0
+    captured = capsys.readouterr()
+    assert printed and out.read_bytes() == printed.encode()
+    assert captured.out == ""
+    assert f"wrote {out}" in captured.err.splitlines()
