@@ -18,6 +18,7 @@ from collections import Counter
 
 from nakayama import INFINITE, enumerate_cyclic, epsilon_tower, homology_report
 from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexample
+from nakayama.filtration import TERMINAL_LINEAR
 
 
 def main() -> int:
@@ -42,7 +43,7 @@ def main() -> int:
             depths[tower.depth] += 1
             terminals[tower.terminal] += 1
             finite = homology_report(series).gldim != INFINITE
-            if (tower.terminal == "linear") != finite:
+            if (tower.terminal == TERMINAL_LINEAR) != finite:
                 mismatches += 1
         depth_txt = " ".join(f"d{d}:{c}" for d, c in sorted(depths.items()))
         term_txt = " ".join(f"{t}:{c}" for t, c in sorted(terminals.items()))

@@ -14,7 +14,6 @@ from .core import (
     validate,
 )
 from .enumeration import (
-    CensusTable,
     ChainSystem,
     count_closed_form,
     enumerate_chains,
@@ -22,7 +21,6 @@ from .enumeration import (
     enumerate_linear,
     fibonacci,
     is_chain,
-    is_maximal,
 )
 from .filtration import (
     DeltaBasis,
@@ -43,7 +41,7 @@ from .homology import (
     pd_simples,
     projective_dimension,
 )
-from .verify import census
+from .verify import CensusTable, census
 
 __all__ = [
     "CYCLIC",
@@ -78,7 +76,6 @@ __all__ = [
     "enumerate_linear",
     "enumerate_chains",
     "is_chain",
-    "is_maximal",
     "count_closed_form",
     "fibonacci",
     "census",

@@ -47,7 +47,7 @@ from .core import (
     relations_to_kupisch,
     validate,
 )
-from .enumeration import enumerate_cyclic, enumerate_linear, is_maximal
+from .enumeration import enumerate_cyclic, enumerate_linear
 from .errors import InternalError, NakayamaError
 from .filtration import epsilon_tower
 from .homology import homology_report
@@ -173,7 +173,7 @@ def cmd_enumerate(args) -> int:
             report = homology_report(series)
             if args.filter == "qh" and not report.quasi_hereditary:
                 continue
-            if args.filter == "maximal" and not is_maximal(report):
+            if args.filter == "maximal" and not report.is_maximal:
                 continue
         kept.append(series)
     if args.format == "json":

@@ -1,4 +1,4 @@
-"""Exhaustive generation of isomorphism classes and the census routes.
+"""Exhaustive generation of isomorphism classes and the census's counting routes.
 
 Cyclic algebras are enumerated one representative per rotation class
 (canonical forms only).  A cap above the default 2n-1 adds only algebras of
@@ -13,23 +13,19 @@ linear and, as the vertex count drops at each step, ends selfinjective.  By
 the tower theorem (finite gldim iff the tower ends linear; E. Sen, on
 syzygy filtrations of cyclic Nakayama algebras), which the ``epsilon``
 suite checks only below the cap, A has infinite gldim.  The census counts
-the algebras attaining Brown's bound through three independent routes:
-brute-force homology over the enumeration (fed to ``_MaximalTally`` by the
-verify sweep, see ``nakayama.verify.census``), direct enumeration of chain
-systems, and closed-form binomials summing to Fibonacci numbers.
+the algebras attaining Brown's bound through three independent routes; two
+are here: direct enumeration of chain systems, and closed-form binomials
+summing to Fibonacci numbers.  The third, the brute-force tally of
+``HomologyReport.is_maximal`` over the enumeration, is in ``nakayama.verify``.
 """
 
 from __future__ import annotations
 
-import json
-from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field, fields
 from math import comb
 
 from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, canonical_form,
                    check_kind, relations_to_kupisch)
 from .errors import NakayamaError
-from .homology import HomologyReport
 
 
 def fibonacci(k: int) -> int:
@@ -182,116 +178,3 @@ def enumerate_chains(n: int, r: int, kind: str):
                 yield from extend(pairs + ((s, e),))
 
     yield from extend(())
-
-
-# ---------------------------------------------------------------------------
-# Census
-# ---------------------------------------------------------------------------
-
-def is_maximal(report: HomologyReport) -> bool:
-    """Quasi-hereditary with global dimension attaining Brown's bound.
-
-    The bound is lambda_1 + 1 for cyclic algebras and lambda_1 for linear
-    ones.  Quasi-heredity is part of the condition: there are algebras of
-    finite global dimension equal to lambda_1 + 1 that are not
-    quasi-hereditary (smallest at n = 5) and those are not counted.
-    """
-    return report.quasi_hereditary and report.gldim == report.brown_bound
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    n: int
-    kind: str
-    r: "int | None"  # None marks the per-n total row
-    enumerated: int
-    closed_form: "int | None"
-    fibonacci: "int | None"
-    violations: tuple[str, ...] = field(default=())
-
-
-@dataclass(frozen=True)
-class CensusTable:
-    kind: str
-    rows: tuple[CensusRow, ...]
-
-    @property
-    def violations(self) -> list[str]:
-        return [v for row in self.rows for v in row.violations]
-
-    def counts(self) -> dict[int, int]:
-        """Total maximal count per n."""
-        return {row.n: row.enumerated for row in self.rows if row.r is None}
-
-    def to_dict(self) -> dict:
-        """Each row's ``CensusRow`` fields; the one tuple, the violations, becomes a list."""
-        listed = lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
-        return {"kind": self.kind, "rows": [asdict(row, dict_factory=listed) for row in self.rows]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        """One column per ``CensusRow`` field, in order; the violations column is their count."""
-        lines = [",".join(f.name for f in fields(CensusRow))]
-        for row in self.rows:
-            values = (len(x) if isinstance(x, tuple) else x for x in astuple(row))
-            lines.append(",".join("" if x is None else str(x) for x in values))
-        return "\n".join(lines) + "\n"
-
-
-class _MaximalTally:
-    """The brute-force census route for one n and kind, fed one algebra at a time.
-
-    ``rows`` checks it against the chain systems, the closed forms and the
-    Fibonacci number; the last (total) row carries the disagreements.  The
-    count and the set are compared with the chain forms whose entries fit
-    the cyclic ``cap`` (linear series are never capped), and the Fibonacci
-    total only when the cap is at least 2n - 1; a shard's tally needs no cap.
-    """
-
-    def __init__(self, n: int, kind: str, cap: "int | None" = None):
-        self.n, self.kind, self.cap = n, kind, _cyclic_cap(n, cap if kind == CYCLIC else None)
-        self.by_r, self.classes, self.violations = Counter(), set(), []
-
-    def add(self, series: KupischSeries, maximal: bool, r: int, chain_violations: list) -> None:
-        """Count ``series`` if maximal; the chain suite's violations on it join the total row."""
-        self.violations += chain_violations
-        if maximal:
-            self.by_r[r] += 1
-            self.classes.add(series.c)
-
-    def merge(self, later: "_MaximalTally") -> None:
-        """Append the tally of the enumeration's next stretch."""
-        self.by_r.update(later.by_r)
-        self.classes |= later.classes
-        self.violations += later.violations
-
-    def rows(self) -> list:
-        n, kind, violations = self.n, self.kind, list(self.violations)
-        rows, chain_set = [], set()
-        for r in range(1, n):
-            expected = count_closed_form(n, r, kind)
-            chains_r = [ch.to_kupisch().c for ch in enumerate_chains(n, r, kind)]
-            if len(chains_r) != expected:
-                violations.append(
-                    f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}"
-                )
-            chains_r = [c for c in chains_r if c[0] <= self.cap]  # c[0] is the largest entry
-            chain_set.update(chains_r)
-            maximal = self.by_r[r]
-            if maximal != len(chains_r):
-                violations.append(
-                    f"n={n} r={r} {kind}: {maximal} maximal != {len(chains_r)} chains"
-                )
-            rows.append(CensusRow(n, kind, r, maximal, expected, None))
-        if chain_set != self.classes:
-            extra = sorted(chain_set ^ self.classes)
-            violations.append(f"n={n} {kind}: chain/maximal sets differ at {extra}")
-        total = sum(self.by_r.values())
-        fib = fibonacci(2 * n - 2 if kind == CYCLIC else 2 * n - 3)
-        if total != fib and self.cap >= 2 * n - 1:
-            violations.append(f"n={n} {kind}: total {total} != Fibonacci {fib}")
-        rows.append(CensusRow(n, kind, None, total, None, fib, tuple(violations)))
-        return rows
-

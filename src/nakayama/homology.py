@@ -193,6 +193,15 @@ class HomologyReport:
         """Brown's bound on gldim for quasi-hereditary algebras: lambda_1, +1 when cyclic."""
         return self.lambda_one + (1 if self.kind == CYCLIC else 0)
 
+    @property
+    def is_maximal(self) -> bool:
+        """Quasi-hereditary with gldim attaining Brown's bound: the census's maximal algebras.
+
+        Quasi-heredity is not redundant: from n = 5 on, algebras such as [6,6,5,4,4] have
+        finite gldim equal to the bound but are not quasi-hereditary, so are not counted.
+        """
+        return self.quasi_hereditary and self.gldim == self.brown_bound
+
     def to_dict(self) -> dict:
         enc = lambda p: "inf" if p == INFINITE else p
         return {

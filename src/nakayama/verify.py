@@ -8,18 +8,22 @@ into contiguous enumeration shards that a process pool may compute in any
 order; the shards merge in enumeration order, so the number of workers
 never changes any result.  ``_sweep_shard`` is the one loop over the
 algebras: ``census`` is the ``fibonacci`` suite's sweep over one kind,
-returned as its table of counts.
+returned as its table of counts.  The census's tally (``_MaximalTally``,
+the brute-force route), its rows and its table are here, beside that sweep.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+from collections import Counter
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
 
-from .core import CYCLIC, LINEAR, _relation_pairs
-from .enumeration import (CensusTable, _cyclic_cap, _cyclic_with_first, _is_chain,
-                          _MaximalTally, enumerate_linear, is_maximal)
+from .core import CYCLIC, LINEAR, KupischSeries, _relation_pairs
+from .enumeration import (_cyclic_cap, _cyclic_with_first, _is_chain, count_closed_form,
+                          enumerate_chains, enumerate_linear, fibonacci)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, epsilon
 from .homology import (
@@ -65,7 +69,6 @@ class _Profile:
     pairs = _lazy(lambda self: _relation_pairs(self.series.c))
     r = _lazy(lambda self: len(self.pairs) + (self.series.kind == LINEAR))  # RelationSystem.r
     chain = _lazy(lambda self: _is_chain(self.series.kind, self.series.n, self.pairs))
-    maximal = _lazy(lambda self: is_maximal(self.report))
     step = _lazy(lambda self: epsilon(self.series))  # the first reduction
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.series.is_selfinjective else
@@ -76,6 +79,103 @@ class _Profile:
         if series not in self.reduced:
             self.reduced[series] = _Profile(series, reduced=self.reduced)
         return self.reduced[series]
+
+
+@dataclass(frozen=True)
+class CensusRow:
+    n: int
+    kind: str
+    r: "int | None"  # None marks the per-n total row
+    enumerated: int
+    closed_form: "int | None"
+    fibonacci: "int | None"
+    violations: tuple[str, ...] = field(default=())
+
+
+@dataclass(frozen=True)
+class CensusTable:
+    kind: str
+    rows: tuple[CensusRow, ...]
+
+    @property
+    def violations(self) -> list[str]:
+        return [v for row in self.rows for v in row.violations]
+
+    def counts(self) -> dict[int, int]:
+        """Total maximal count per n."""
+        return {row.n: row.enumerated for row in self.rows if row.r is None}
+
+    def to_dict(self) -> dict:
+        """Each row's ``CensusRow`` fields; the one tuple, the violations, becomes a list."""
+        listed = lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+        return {"kind": self.kind, "rows": [asdict(row, dict_factory=listed) for row in self.rows]}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    def to_csv(self) -> str:
+        """One column per ``CensusRow`` field, in order; the violations column is their count."""
+        lines = [",".join(f.name for f in fields(CensusRow))]
+        for row in self.rows:
+            values = (len(x) if isinstance(x, tuple) else x for x in astuple(row))
+            lines.append(",".join("" if x is None else str(x) for x in values))
+        return "\n".join(lines) + "\n"
+
+
+class _MaximalTally:
+    """The brute-force census route for one n and kind, fed one algebra at a time.
+
+    ``rows`` checks it against the chain systems, the closed forms and the
+    Fibonacci number; the last (total) row carries the disagreements.  The
+    count and the set are compared with the chain forms whose entries fit
+    the cyclic ``cap`` (linear series are never capped), and the Fibonacci
+    total only when the cap is at least 2n - 1; a shard's tally needs no cap.
+    ``shards``: the tallies of the enumeration's stretches of this kind, in
+    order, merged into this one.
+    """
+
+    def __init__(self, n: int, kind: str, cap: "int | None" = None, shards=()):
+        self.n, self.kind, self.cap = n, kind, _cyclic_cap(n, cap if kind == CYCLIC else None)
+        self.by_r, self.classes, self.violations = Counter(), set(), []
+        for shard in shards:
+            self.by_r.update(shard.by_r)
+            self.classes |= shard.classes
+            self.violations += shard.violations
+
+    def add(self, series: KupischSeries, maximal: bool, r: int, chain_violations: list) -> None:
+        """Count ``series`` if maximal; the chain suite's violations on it join the total row."""
+        self.violations += chain_violations
+        if maximal:
+            self.by_r[r] += 1
+            self.classes.add(series.c)
+
+    def rows(self) -> list:
+        n, kind, violations = self.n, self.kind, list(self.violations)
+        rows, chain_set = [], set()
+        for r in range(1, n):
+            expected = count_closed_form(n, r, kind)
+            chains_r = [ch.to_kupisch().c for ch in enumerate_chains(n, r, kind)]
+            if len(chains_r) != expected:
+                violations.append(
+                    f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}"
+                )
+            chains_r = [c for c in chains_r if c[0] <= self.cap]  # c[0] is the largest entry
+            chain_set.update(chains_r)
+            maximal = self.by_r[r]
+            if maximal != len(chains_r):
+                violations.append(
+                    f"n={n} r={r} {kind}: {maximal} maximal != {len(chains_r)} chains"
+                )
+            rows.append(CensusRow(n, kind, r, maximal, expected, None))
+        if chain_set != self.classes:
+            extra = sorted(chain_set ^ self.classes)
+            violations.append(f"n={n} {kind}: chain/maximal sets differ at {extra}")
+        total = sum(self.by_r.values())
+        fib = fibonacci(2 * n - 2 if kind == CYCLIC else 2 * n - 3)
+        if total != fib and self.cap >= 2 * n - 1:
+            violations.append(f"n={n} {kind}: total {total} != Fibonacci {fib}")
+        rows.append(CensusRow(n, kind, None, total, None, fib, tuple(violations)))
+        return rows
 
 
 # Each predicate returns None to skip an algebra, else its violations.
@@ -112,7 +212,7 @@ def _parity(profile):
 
 
 def _chain(profile):
-    maximal, chain = profile.maximal, profile.chain
+    maximal, chain = profile.report.is_maximal, profile.chain
     return [] if maximal == chain else [f"{profile.series}: maximal={maximal} but chain={chain}"]
 
 
@@ -164,7 +264,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
     """One shard's raw results: {suite: [algebras checked, violations]} and its census tally."""
     checks = {name: _SUITES[name][2] for name in names if _SUITES[name][2]}
     found = {name: [0, []] for name in checks}
-    fibonacci, tally = "fibonacci" in names, _MaximalTally(n, kind)
+    counting, tally = "fibonacci" in names, _MaximalTally(n, kind)
     tabled, reduced = "madsen" in checks, {}
     for series in _cyclic_with_first(n, first) if kind == CYCLIC else enumerate_linear(n):
         profile = _Profile(series, tabled, reduced)
@@ -173,8 +273,8 @@ def _sweep_shard(names, n: int, kind: str, first: int):
             if violations is not None:
                 found[name][0] += 1
                 found[name][1].extend(violations)
-        if fibonacci:
-            tally.add(series, profile.maximal, profile.r, _chain(profile))
+        if counting:
+            tally.add(series, profile.report.is_maximal, profile.r, _chain(profile))
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 
@@ -199,10 +299,9 @@ class _Sweep:
                           [v for found, _ in shards for v in found[name][1]])
                    for name in self.names if _SUITES[name][2]}
         if "fibonacci" in self.names:
-            tallies = {kind: _MaximalTally(self.n, kind, self.cap) for kind in (CYCLIC, LINEAR)}
-            for _, tally in shards:
-                tallies[tally.kind].merge(tally)
-            totals = [tally.rows()[-1] for tally in tallies.values()]
+            totals = [_MaximalTally(self.n, kind, self.cap,
+                                    (t for _, t in shards if t.kind == kind)).rows()[-1]
+                      for kind in (CYCLIC, LINEAR)]
             results["fibonacci"] = (
                 "; ".join(f"{t.kind} {t.enumerated} (F={t.fibonacci})" for t in totals),
                 [v for t in totals for v in t.violations],
@@ -225,11 +324,9 @@ def census(ns, kind: str, cap: "int | None" = None) -> CensusTable:
     if low := [n for n in ns if n < 2]:  # every n is checked before any is swept
         raise NakayamaError(f"census needs n >= 2, got {low[0]}")
     for n in ns:
-        tally = _MaximalTally(n, kind, cap)
-        for shard_kind, first in _shards(n, cap):
-            if shard_kind == kind:
-                tally.merge(_sweep_shard(("fibonacci",), n, kind, first)[1])
-        rows.extend(tally.rows())
+        shards = (_sweep_shard(("fibonacci",), n, kind, first)[1]
+                  for shard_kind, first in _shards(n, cap) if shard_kind == kind)
+        rows.extend(_MaximalTally(n, kind, cap, shards).rows())
     return CensusTable(kind, tuple(rows))
 
 

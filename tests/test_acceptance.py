@@ -23,7 +23,6 @@ from nakayama import (
     epsilon_tower,
     homology_report,
     is_chain,
-    is_maximal,
     kupisch_to_relations,
     projective_dimension,
     syzygy,
@@ -142,13 +141,13 @@ def test_criterion_08_chain_theorem_both_directions():
     for series in _everything(6):
         if series.kind == LINEAR:
             continue
-        maximal = is_maximal(homology_report(series))
+        maximal = homology_report(series).is_maximal
         chain = is_chain(kupisch_to_relations(series))
         assert maximal == chain, str(series)
         checked += 1
     for n in range(2, 9):
         for series in enumerate_linear(n):
-            maximal = is_maximal(homology_report(series))
+            maximal = homology_report(series).is_maximal
             chain = is_chain(kupisch_to_relations(series))
             assert maximal == chain, str(series)
             checked += 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-import nakayama.enumeration
+import nakayama.verify
 from nakayama import (
     CYCLIC,
     INFINITE,
@@ -21,10 +21,9 @@ from nakayama import (
     fibonacci,
     homology_report,
     is_chain,
-    is_maximal,
     kupisch_to_relations,
 )
-from nakayama.enumeration import _MaximalTally
+from nakayama.verify import _MaximalTally
 from nakayama.errors import NakayamaError
 
 from oracles import brute_force_cyclic, burnside_cyclic_classes, oracle_is_chain
@@ -250,7 +249,7 @@ def test_census_n2_maximal_algebra():
     maximal = [
         s.c
         for s in enumerate_cyclic(2)
-        if is_maximal(homology_report(s))
+        if homology_report(s).is_maximal
     ]
     assert maximal == [(3, 2)]
 
@@ -302,7 +301,7 @@ def test_census_below_and_above_the_default_cap(n):
     for cap in (None, 4, 2 * n + 3):
         assert census([n], CYCLIC, cap).violations == [], cap
     # below 2n - 1 the capped count is the chain forms that fit, Fibonacci unchecked
-    capped = {s.c for s in enumerate_cyclic(n, 4) if is_maximal(homology_report(s))}
+    capped = {s.c for s in enumerate_cyclic(n, 4) if homology_report(s).is_maximal}
     forms = {ch.to_kupisch().c for r in range(1, n) for ch in enumerate_chains(n, r, CYCLIC)}
     fitting = {c for c in forms if max(c) <= 4}
     assert capped == fitting
@@ -320,8 +319,8 @@ def test_capped_tally_still_reports_missing_algebras():
 
 
 def test_census_reports_a_wrong_closed_form_and_a_wrong_fibonacci_total(monkeypatch):
-    monkeypatch.setattr(nakayama.enumeration, "count_closed_form", lambda n, r, kind: 9)
-    monkeypatch.setattr(nakayama.enumeration, "fibonacci", lambda k: 9)
+    monkeypatch.setattr(nakayama.verify, "count_closed_form", lambda n, r, kind: 9)
+    monkeypatch.setattr(nakayama.verify, "fibonacci", lambda k: 9)
     assert census([3], LINEAR).violations == [
         "n=3 r=1 linear: 1 chains != closed form 9",
         "n=3 r=2 linear: 1 chains != closed form 9",
@@ -397,10 +396,10 @@ def test_cap_stability():
     # spot check n <= 5: growing the cap adds no maximal algebra and loses none
     for n in range(2, 6):
         at_default = {
-            s.c for s in enumerate_cyclic(n, 2 * n - 1) if is_maximal(homology_report(s))
+            s.c for s in enumerate_cyclic(n, 2 * n - 1) if homology_report(s).is_maximal
         }
         at_larger = {
-            s.c for s in enumerate_cyclic(n, 2 * n + 3) if is_maximal(homology_report(s))
+            s.c for s in enumerate_cyclic(n, 2 * n + 3) if homology_report(s).is_maximal
         }
         assert at_default == at_larger
 
@@ -411,4 +410,4 @@ def test_non_quasi_hereditary_equality_is_excluded():
     report = homology_report(canonical_form_series((6, 6, 5, 4, 4)))
     assert report.gldim == report.lambda_one + 1
     assert not report.quasi_hereditary
-    assert not is_maximal(report)
+    assert not report.is_maximal

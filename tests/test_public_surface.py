@@ -3,7 +3,8 @@
 A name in ``nakayama.__all__`` stays only if something outside ``tests/``
 uses it: another package module, a script, the benchmark harness, or the
 README's "Library sketch".  The package raises exactly two exception classes:
-``NakayamaError`` for bad input and ``InternalError`` for a bug.
+``NakayamaError`` for bad input and ``InternalError`` for a bug.  Its modules
+form layers, and each imports only from the layers below its own.
 """
 
 import ast
@@ -18,6 +19,9 @@ from nakayama import cli
 from nakayama.errors import InternalError, NakayamaError
 
 ROOT = Path(__file__).resolve().parent.parent
+# errors < core < {homology, filtration, enumeration} < verify < cli
+LAYERS = {"errors": 0, "core": 1, "homology": 2, "filtration": 2, "enumeration": 2,
+          "verify": 3, "cli": 4}
 
 
 def library_sketch() -> str:
@@ -57,15 +61,18 @@ def test_the_library_sketch_computes_what_its_comments_say():
         shown = repr(eval(code, namespace)).replace(" ", "")
         assert comment.replace(" ", "").startswith(shown), line
         checked.append(shown)
-    assert checked == ["(4,3,1)", "((1,3),(2,5))", "(2,3)", "'linear'",
+    assert checked == ["(4,3,1)", "False", "((1,3),(2,5))", "(2,3)", "'linear'",
                        "{2:1,3:3,4:8,5:21,6:55,7:144}"]
 
 
 def test_the_readme_cli_block_runs_as_written(capsys):
+    # the cli module docstring's usage examples are a second source, run the same way
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## CLI\s+```\n(.*?)```", readme, re.S).group(1)
+    usage = re.search(r"Usage examples\n-+\n(.*?)\n\n", cli.__doc__, re.S).group(1)
+    assert len(usage.splitlines()) == 4
     checked = []
-    for line in block.splitlines():
+    for line in block.splitlines() + usage.splitlines():
         code, _, comment = line.partition("#")
         program, *argv = shlex.split(code)
         assert program == "nakayama", line
@@ -96,3 +103,15 @@ def test_every_raise_in_the_package_names_one_of_the_two_classes():
                 raised.append((path.name, node.lineno, getattr(exc, "id", None)))
     assert raised
     assert [r for r in raised if r[2] not in ("NakayamaError", "InternalError")] == []
+
+
+def test_each_module_imports_only_from_lower_layers():
+    modules = {p.stem: p for p in (ROOT / "src" / "nakayama").glob("*.py") if p.stem != "__init__"}
+    assert sorted(modules) == sorted(LAYERS)
+    upward = []
+    for name, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+                imported = [node.module] if node.module else [a.name for a in node.names]
+                upward += [(name, i) for i in imported if LAYERS[i] >= LAYERS[name]]
+    assert upward == []

@@ -235,7 +235,7 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert census([3], CYCLIC).violations.count(text) == 1
 
 
-_PROFILE_FIELDS = ("table", "report", "pairs", "r", "chain", "maximal", "step", "terminal")
+_PROFILE_FIELDS = ("table", "report", "pairs", "r", "chain", "step", "terminal")
 
 
 def test_lazy_fields_read_on_the_class_are_their_descriptors():
