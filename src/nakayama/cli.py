@@ -25,13 +25,15 @@ Usage examples
   nakayama convert --relations "1:2;2:3" -n 4 --cyclic
 
 Exit codes: 0 success, 1 usage or input error, 2 theorem violation found,
-3 internal error (a bug in this package, not in the input).
+3 internal error (a bug in this package, not in the input), 141 (128 + SIGPIPE)
+when the reader closes stdout before the output is written, as in ``| head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import (
@@ -148,9 +150,7 @@ def cmd_analyze(args) -> int:
     if report.brown_slack is not None:
         print(f"bound slack   {report.brown_slack}")
     if tower is not None:
-        shapes = [
-            " + ".join(str(k) for k in step.components) for step in tower.steps
-        ]
+        shapes = [" + ".join(str(k) for k in step.components) for step in tower.steps]
         chain = " -> ".join([str(series)] + shapes) if shapes else str(series)
         print(f"tower         {chain}  [terminal {tower.terminal}, depth {tower.depth}]")
     return 0
@@ -163,19 +163,9 @@ def cmd_analyze(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.n < 2:
         raise NakayamaError(f"enumeration needs n >= 2, got {args.n}")
-    if _kind(args) == CYCLIC:
-        stream = enumerate_cyclic(args.n, args.cap)
-    else:
-        stream = enumerate_linear(args.n)
-    kept = []
-    for series in stream:
-        if args.filter != "all":
-            report = homology_report(series)
-            if args.filter == "qh" and not report.quasi_hereditary:
-                continue
-            if args.filter == "maximal" and not report.is_maximal:
-                continue
-        kept.append(series)
+    stream = enumerate_cyclic(args.n, args.cap) if args.cyclic else enumerate_linear(args.n)
+    wanted = {"qh": "quasi_hereditary", "maximal": "is_maximal"}.get(args.filter)  # None: all
+    kept = [s for s in stream if wanted is None or getattr(homology_report(s), wanted)]
     if args.format == "json":
         payload = {
             "count": len(kept),
@@ -202,8 +192,7 @@ def cmd_verify(args) -> int:
     if args.n_max < 2:
         raise NakayamaError(f"--n-max must be at least 2, got {args.n_max}")
     names = list(SUITES) if args.theorems == "all" else [
-        t.strip() for t in args.theorems.split(",") if t.strip()
-    ]
+        t.strip() for t in args.theorems.split(",") if t.strip()]
     results = run_suites(names, args.n_max, cap=args.cap, jobs=args.jobs)
     total = sum(len(v) for _, v in results.values())
     if args.format == "json":
@@ -254,7 +243,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush too
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -84,7 +84,12 @@ class KupischSeries:
         return self.kind == CYCLIC and len(set(self.c)) == 1
 
     def __str__(self):
-        return f"[{','.join(map(str, self.c))}]"
+        return _label(self.c)
+
+
+def _label(c) -> str:
+    """The series c as "[c1,c2,...]", the form every message names an algebra in."""
+    return f"[{','.join(map(str, c))}]"
 
 
 def validate(kind: str, c) -> KupischSeries:
@@ -145,7 +150,7 @@ def syzygy(series: KupischSeries, m: UniserialModule) -> UniserialModule | None:
     # on a line length < c_top <= n - top + 1, so top + length never wraps
     top, length = (m.top - 1 + m.length) % len(c) + 1, c[m.top - 1] - m.length
     if length > c[top - 1]:
-        raise InternalError(f"syzygy of {m} over [{','.join(map(str, c))}]"
+        raise InternalError(f"syzygy of {m} over {_label(c)}"
                             f" is too long: M({top},{length})")
     return UniserialModule(top, length)
 

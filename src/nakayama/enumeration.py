@@ -56,9 +56,14 @@ def count_closed_form(n: int, r: int, kind: str) -> int:
 # ---------------------------------------------------------------------------
 
 def enumerate_linear(n: int):
-    """All connected linear series with n vertices (count: Catalan(n-1)).
+    """All connected linear series with n vertices (count: Catalan(n-1))."""
+    for c in _linear_series(n):
+        yield KupischSeries(LINEAR, c)
 
-    Built backwards from c_n = 1 with c_i in [2, min(c_{i+1} + 1, n - i + 1)].
+
+def _linear_series(n: int):
+    """The c of ``enumerate_linear``, built backwards from c_n = 1 with c_i in
+    [2, min(c_{i+1} + 1, n - i + 1)]: valid by construction, so not validated.
     """
     if n < 2:
         raise NakayamaError(f"need n >= 2, got {n}")
@@ -66,7 +71,7 @@ def enumerate_linear(n: int):
     def extend(suffix):
         i = n - len(suffix)
         if i == 0:
-            yield KupischSeries(LINEAR, suffix)
+            yield suffix
             return
         for v in range(2, min(suffix[0] + 1, n - i + 1) + 1):
             yield from extend((v,) + suffix)
@@ -84,7 +89,8 @@ def enumerate_cyclic(n: int, cap: int | None = None):
     if n < 1:
         raise NakayamaError(f"need n >= 1, got {n}")
     for first in range(2, _cyclic_cap(n, cap) + 1):
-        yield from _cyclic_with_first(n, first)
+        for c in _cyclic_with_first(n, first):
+            yield KupischSeries(CYCLIC, c)
 
 
 def _cyclic_cap(n: int, cap: int | None) -> int:
@@ -92,7 +98,9 @@ def _cyclic_cap(n: int, cap: int | None) -> int:
 
 
 def _cyclic_with_first(n: int, first: int):
-    """The canonical cyclic series with n vertices whose first (largest) entry is ``first``."""
+    """The c of the canonical cyclic series with n vertices whose first (largest) entry is
+    ``first``; each step keeps c_{v+1} >= c_v - 1, so they are valid and not validated.
+    """
 
     def is_canonical(c):
         # c starts with its maximum; compare against rotations that also do
@@ -104,7 +112,7 @@ def _cyclic_with_first(n: int, first: int):
     def extend(prefix):
         if len(prefix) == n:
             if first >= prefix[-1] - 1 and is_canonical(prefix):
-                yield KupischSeries(CYCLIC, prefix)
+                yield prefix
             return
         # canonical forms start with the maximum entry, so never exceed it
         for v in range(max(2, prefix[-1] - 1), first + 1):

@@ -105,7 +105,12 @@ class EpsilonStep:
 
 
 def epsilon(series: KupischSeries) -> EpsilonStep:
-    """The syzygy-filtered algebra, via interval counts.
+    """The syzygy-filtered algebra: the components of ``_reduce``, validated."""
+    return EpsilonStep(tuple(KupischSeries(*component) for component in _reduce(series)))
+
+
+def _reduce(series) -> tuple:
+    """The (kind, c) of each component of ``epsilon(series)``, via interval counts.
 
     The projective at interval top t ends at (t + c_t - 2) mod n + 1, a socle
     vertex by the construction of ``_socles_and_tops``, so it is tiled and
@@ -115,7 +120,7 @@ def epsilon(series: KupischSeries) -> EpsilonStep:
     socles, tops = _socles_and_tops(series)
     c, n = series.c, series.n
     entries = [_interval_count(socles, tops, n, j, c[top - 1]) for j, top in enumerate(tops)]
-    return EpsilonStep(components=_split_components(entries))
+    return _split_components(entries)
 
 
 def _interval_count(socles, tops, n, j, length):
@@ -127,16 +132,16 @@ def _interval_count(socles, tops, n, j, length):
     return (length - 1) // n * r + (k - j) % r + 1
 
 
-def _split_components(entries: list[int]) -> tuple[KupischSeries, ...]:
+def _split_components(entries: list[int]) -> tuple:
     r = len(entries)
     if min(entries) >= 2:
-        return (KupischSeries(CYCLIC, tuple(entries)),)
+        return ((CYCLIC, tuple(entries)),)
     sinks = [j for j in range(r) if entries[j] == 1]
     components = []
     for i, b in enumerate(sinks):
         a = sinks[i - 1]
         segment = tuple(entries[t % r] for t in range((a - r if i == 0 else a) + 1, b + 1))
-        components.append(KupischSeries(LINEAR, segment))
+        components.append((LINEAR, segment))
     return tuple(components)
 
 

@@ -31,6 +31,9 @@ a non-start) or to a pd of row t plus at least 2; a finite pd is not itself plus
 has one fixpoint.  Seeded with INFINITE, each entry of row t is final or INFINITE after every
 pass; a pass that changes row t makes an entry final and one that does not is at the
 fixpoint, so c_t passes suffice.  Only then are the cycle's other rows final as well.
+
+A series is read here only through its ``kind``, ``c``, ``n`` and label: the verify sweep
+hands in its profile of (kind, c) where a ``KupischSeries`` is asked for.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .core import (
     LINEAR,
     KupischSeries,
     UniserialModule,
+    _label,
     check_module,
 )
 from .errors import InternalError, NakayamaError
@@ -79,7 +83,7 @@ def _pd_walk(c, top, length, memo):
             break
         new_top, d = (top - 1 + ct) % n + 1, c[(top - 1 + length) % n] - ct + length
         if not 0 <= d <= c[new_top - 1]:
-            raise InternalError(f"Omega^2 M({top},{length}) over [{','.join(map(str, c))}]"
+            raise InternalError(f"Omega^2 M({top},{length}) over {_label(c)}"
                                 f" is not a module: M({new_top},{d})")
         if d == 0:
             base = memo[key] = 1
@@ -112,8 +116,7 @@ def _module_table(series: KupischSeries) -> list:
     c, n = series.c, series.n
     for v in range(n):  # on a line the wrap step reads c_1 >= c_n - 1 = 0
         if c[(v + 1) % n] < c[v] - 1:
-            raise InternalError(f"[{','.join(map(str, c))}] drops by more than 1"
-                                f" from vertex {v + 1}")
+            raise InternalError(f"{_label(c)} drops by more than 1 from vertex {v + 1}")
 
     def fill(rows):  # in reverse, so each row reads a filled one
         for t in reversed(rows):

@@ -10,22 +10,23 @@ never changes any result.  ``_sweep_shard`` is the one loop over the
 algebras: ``census`` is the ``fibonacci`` suite's sweep over one kind,
 returned as its table of counts.  The census's tally (``_MaximalTally``,
 the brute-force route), its rows and its table are here, beside that sweep.
+The sweep reads each algebra as (kind, c) from the enumeration to the last predicate;
+it builds no ``KupischSeries`` and writes "[c1,c2,...]" only for a violation.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
 
 from .core import CYCLIC, LINEAR, KupischSeries, _relation_pairs
-from .enumeration import (_cyclic_cap, _cyclic_with_first, _is_chain, count_closed_form,
-                          enumerate_chains, enumerate_linear, fibonacci)
+from .enumeration import (_cyclic_cap, _cyclic_with_first, _is_chain, _linear_series,
+                          count_closed_form, enumerate_chains, fibonacci)
 from .errors import NakayamaError
-from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, epsilon
+from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from .homology import (
     INFINITE,
     _module_table,
@@ -57,28 +58,35 @@ class _lazy(cached_property):
 
 
 class _Profile:
-    """One algebra and what the suites read about it, each computed on first use."""
+    """One algebra, (kind, c), and what the suites read about it, each computed on first use.
 
-    def __init__(self, series, tabled=False, reduced=None):
-        self.series, self.tabled = series, tabled  # tabled: madsen runs; it alone reads the table
-        self.reduced = {} if reduced is None else reduced  # series -> profile, one dict per shard
+    It reads as a series (``kind``, ``c``, ``n``, ``is_selfinjective``, its label), so the
+    functions of ``homology`` and ``filtration`` take it in place of a ``KupischSeries``.
+    """
 
-    table = _lazy(lambda self: _module_table(self.series))
+    def __init__(self, kind, c, tabled=False, reduced=None):
+        self.kind, self.c, self.n = kind, c, len(c)
+        self.tabled = tabled  # madsen runs; it alone reads the table
+        self.reduced = {} if reduced is None else reduced  # (kind, c) -> profile, one per shard
+
+    __str__ = KupischSeries.__str__
+    is_selfinjective = KupischSeries.is_selfinjective
+    table = _lazy(lambda self: _module_table(self))
     report = _lazy(  # from the table only when it is built anyway
-        lambda self: homology_report(self.series, self.table if self.tabled else None))
-    pairs = _lazy(lambda self: _relation_pairs(self.series.c))
-    r = _lazy(lambda self: len(self.pairs) + (self.series.kind == LINEAR))  # RelationSystem.r
-    chain = _lazy(lambda self: _is_chain(self.series.kind, self.series.n, self.pairs))
-    step = _lazy(lambda self: epsilon(self.series))  # the first reduction
+        lambda self: homology_report(self, self.table if self.tabled else None))
+    pairs = _lazy(lambda self: _relation_pairs(self.c))
+    r = _lazy(lambda self: len(self.pairs) + (self.kind == LINEAR))  # RelationSystem.r
+    chain = _lazy(lambda self: _is_chain(self.kind, self.n, self.pairs))
+    step = _lazy(lambda self: _reduce(self))  # the first reduction's (kind, c) components
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
-        TERMINAL_SELFINJECTIVE if self.series.is_selfinjective else
-        self.of(self.step.algebra).terminal if self.step.is_cyclic else TERMINAL_LINEAR))
+        TERMINAL_SELFINJECTIVE if self.is_selfinjective else
+        self.of(self.step[0]).terminal if self.step[0][0] == CYCLIC else TERMINAL_LINEAR))
 
-    def of(self, series) -> "_Profile":
-        """The shard's one profile of the reduced algebra ``series``."""
-        if series not in self.reduced:
-            self.reduced[series] = _Profile(series, reduced=self.reduced)
-        return self.reduced[series]
+    def of(self, component) -> "_Profile":
+        """The shard's one profile of the reduced algebra ``component``, a (kind, c)."""
+        if component not in self.reduced:
+            self.reduced[component] = _Profile(*component, reduced=self.reduced)
+        return self.reduced[component]
 
 
 @dataclass(frozen=True)
@@ -142,12 +150,12 @@ class _MaximalTally:
             self.classes |= shard.classes
             self.violations += shard.violations
 
-    def add(self, series: KupischSeries, maximal: bool, r: int, chain_violations: list) -> None:
-        """Count ``series`` if maximal; the chain suite's violations on it join the total row."""
+    def add(self, c: tuple, maximal: bool, r: int, chain_violations: list) -> None:
+        """Count c if maximal; the chain suite's violations on it join the total row."""
         self.violations += chain_violations
         if maximal:
             self.by_r[r] += 1
-            self.classes.add(series.c)
+            self.classes.add(c)
 
     def rows(self) -> list:
         n, kind, violations = self.n, self.kind, list(self.violations)
@@ -181,13 +189,13 @@ class _MaximalTally:
 # Each predicate returns None to skip an algebra, else its violations.
 
 def _sconnected_qh(profile):
-    series, report = profile.series, profile.report
+    report = profile.report
     if report.s_connected is None:
         # undefined for infinite global dimension; quasi-heredity must fail too
         if report.quasi_hereditary:
-            return [f"{series}: infinite gldim but quasi-hereditary"]
+            return [f"{profile}: infinite gldim but quasi-hereditary"]
     elif report.s_connected != report.quasi_hereditary:
-        return [f"{series}: s_connected={report.s_connected}"
+        return [f"{profile}: s_connected={report.s_connected}"
                 f" != quasi_hereditary={report.quasi_hereditary}"]
     return []
 
@@ -197,45 +205,42 @@ def _brown(profile):
     if not report.quasi_hereditary:
         return None
     if report.gldim > report.brown_bound:
-        return [f"{profile.series}: gldim {report.gldim} > {report.brown_bound}"]
+        return [f"{profile}: gldim {report.gldim} > {report.brown_bound}"]
     return []
 
 
 def _madsen(profile):
-    return [f"{profile.series}: fails at {m}" for m in check_madsen(profile.series, profile.table)]
+    return [f"{profile}: fails at {m}" for m in check_madsen(profile, profile.table)]
 
 
 def _parity(profile):
     if profile.report.gldim == INFINITE:
         return None
-    return check_parity_interpolation(profile.series, profile.report)
+    return check_parity_interpolation(profile, profile.report)
 
 
 def _chain(profile):
     maximal, chain = profile.report.is_maximal, profile.chain
-    return [] if maximal == chain else [f"{profile.series}: maximal={maximal} but chain={chain}"]
+    return [] if maximal == chain else [f"{profile}: maximal={maximal} but chain={chain}"]
 
 
 def _epsilon(profile):
-    series = profile.series
-    if series.kind != CYCLIC or series.is_selfinjective:
+    if profile.kind != CYCLIC or profile.is_selfinjective:
         return None
     violations = []
     report, step, terminal = profile.report, profile.step, profile.terminal
     finite = report.gldim != INFINITE
     if (terminal == TERMINAL_LINEAR) != finite:
-        violations.append(f"{series}: terminal {terminal} but gldim {report.gldim}")
-    if step.vertex_count != profile.r:
-        violations.append(f"{series}: reduced algebra has {step.vertex_count}"
+        violations.append(f"{profile}: terminal {terminal} but gldim {report.gldim}")
+    if (vertices := sum(len(c) for _, c in step)) != profile.r:
+        violations.append(f"{profile}: reduced algebra has {vertices}"
                           f" vertices, expected the relation count")
     if finite:
-        reduced_gldim = max(profile.of(component).report.gldim for component in step.components)
+        reduced_gldim = max(profile.of(component).report.gldim for component in step)
         if reduced_gldim + 2 != report.gldim:
-            violations.append(
-                f"{series}: gldim {report.gldim} but reduced gldim {reduced_gldim}"
-            )
-    if step.is_cyclic == report.quasi_hereditary:
-        violations.append(f"{series}: quasi-heredity disagrees with reduction shape")
+            violations.append(f"{profile}: gldim {report.gldim} but reduced gldim {reduced_gldim}")
+    if (step[0][0] == CYCLIC) == report.quasi_hereditary:
+        violations.append(f"{profile}: quasi-heredity disagrees with reduction shape")
     return violations
 
 
@@ -247,7 +252,7 @@ _SUITES = {  # suite -> (its theorem, noun for the algebras it checks, predicate
               "quasi-hereditary algebras", _brown),
     "generalized-inequality": (
         "gldim <= a + lambda_c for every attained c, plus the linear sink bound.",
-        "algebras", lambda p: check_inequalities(p.series, p.report)),
+        "algebras", lambda p: check_inequalities(p, p.report)),
     "madsen": ("Odd-pd modules attain their pd on a composition factor.", "algebras", _madsen),
     "parity": ("Odd attainment and even interpolation of simple pd values.",
                "finite-gldim algebras", _parity),
@@ -266,15 +271,15 @@ def _sweep_shard(names, n: int, kind: str, first: int):
     found = {name: [0, []] for name in checks}
     counting, tally = "fibonacci" in names, _MaximalTally(n, kind)
     tabled, reduced = "madsen" in checks, {}
-    for series in _cyclic_with_first(n, first) if kind == CYCLIC else enumerate_linear(n):
-        profile = _Profile(series, tabled, reduced)
+    for c in _cyclic_with_first(n, first) if kind == CYCLIC else _linear_series(n):
+        profile = _Profile(kind, c, tabled, reduced)
         for name, predicate in checks.items():
             violations = predicate(profile)
             if violations is not None:
                 found[name][0] += 1
                 found[name][1].extend(violations)
         if counting:
-            tally.add(series, profile.report.is_maximal, profile.r, _chain(profile))
+            tally.add(c, profile.report.is_maximal, profile.r, _chain(profile))
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 
@@ -369,6 +374,8 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(tasks), cpus or 1)
     if workers > 1:
+        import multiprocessing  # only a pooled run pays for the import
+
         with multiprocessing.Pool(processes=workers) as pool:
             raw = dict(zip((task[1:] for task in tasks),
                            pool.starmap(_sweep_shard, tasks, chunksize=1)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ import nakayama.cli as cli_mod
 import nakayama.verify as verify_mod
 from nakayama.cli import main
 from nakayama.errors import InternalError, NakayamaError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -237,3 +243,34 @@ def test_convert_requires_exactly_one_input(capsys):
     assert run(capsys, "convert", "--cyclic")[0] == 1
     assert run(capsys, "convert", "--cyclic", "--kupisch", "3,2,2",
                "--relations", "1:2", "-n", "3")[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the process
+# ---------------------------------------------------------------------------
+
+def _child(*args, **kwargs):
+    """``python args`` with the package importable and stdout block-buffered, as in a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--cyclic", "-n", "3"],  # one short line, first written by main's flush
+    ["enumerate", "--linear", "-n", "9", "--filter", "maximal", "--list"],  # 11 kB, by print
+])
+def test_a_closed_stdout_exits_141_without_a_word(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes a byte
+    try:
+        child = _child("-m", "nakayama.cli", *argv, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (141, b"")
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only a pooled verify run imports it
+    code = "import sys, nakayama.cli; print('multiprocessing' in sys.modules)"
+    assert _child("-c", code, capture_output=True, text=True, check=True).stdout == "False\n"

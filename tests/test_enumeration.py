@@ -283,7 +283,7 @@ def test_census_csv_and_json():
 def test_tally_rows_can_be_read_twice():
     tally = _MaximalTally(3, CYCLIC)
     series = KupischSeries(CYCLIC, (4, 3, 2))  # maximal; (3, 2, 2) and (5, 4, 3) stay unfed
-    tally.add(series, True, kupisch_to_relations(series).r, ["a chain violation"])
+    tally.add(series.c, True, kupisch_to_relations(series).r, ["a chain violation"])
     first = tally.rows()
     assert first[-1].violations == (
         "a chain violation",

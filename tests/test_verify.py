@@ -5,6 +5,8 @@ from collections import Counter
 from functools import cached_property
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nakayama.filtration
 import nakayama.homology
@@ -26,14 +28,14 @@ from nakayama import (
     relations_to_kupisch,
     validate,
 )
-from nakayama.enumeration import _cyclic_with_first, _is_chain
+from nakayama.enumeration import _cyclic_with_first, _is_chain, _linear_series
 from nakayama.errors import NakayamaError
-from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE
+from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from nakayama.homology import _module_table
 from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _Sweep,
                              _sweep_shard, _SUITE_FUNCTIONS)
 
-from conftest import enumerated_series
+from conftest import cyclic_series, enumerated_series
 from oracles import oracle_is_chain, oracle_relations
 
 
@@ -85,8 +87,8 @@ def test_shards_concatenate_to_the_enumeration(n):
         shards = _shards(n, cap)
         cyclic = [first for kind, first in shards if kind == CYCLIC]
         assert [kind for kind, _ in shards] == [CYCLIC] * len(cyclic) + [LINEAR] * (n >= 2)
-        concatenated = [s for first in cyclic for s in _cyclic_with_first(n, first)]
-        assert concatenated == list(enumerate_cyclic(n, cap))
+        concatenated = [c for first in cyclic for c in _cyclic_with_first(n, first)]
+        assert concatenated == [s.c for s in enumerate_cyclic(n, cap)]
 
 
 @pytest.fixture
@@ -149,7 +151,7 @@ def test_pool_is_capped_at_the_usable_cpus(recording_pool, monkeypatch,
 def test_pooled_violations_keep_enumeration_order(recording_pool, monkeypatch):
     # every algebra violates, so the merged list spells out the sweep order
     monkeypatch.setitem(nakayama.verify._SUITES, "chain",
-                        (*_SUITES["chain"][:2], lambda p: [str(p.series)]))
+                        (*_SUITES["chain"][:2], lambda p: [str(p)]))
     swept = [str(s) for n in range(2, 6) for s in (*enumerate_cyclic(n), *enumerate_linear(n))]
     for jobs in (1, 2):
         _, violations = run_suites(["chain"], 5, jobs=jobs)["chain"]
@@ -208,7 +210,7 @@ def test_census_reports_each_algebra_of_its_kind_once(monkeypatch, kind):
     census(range(2, 6), kind)
     swept = [s for n in range(2, 6)
              for s in (enumerate_cyclic(n) if kind == CYCLIC else enumerate_linear(n))]
-    assert calls == swept
+    assert [(p.kind, p.c) for p in calls] == [(s.kind, s.c) for s in swept]
 
 
 def test_census_checks_every_n_before_it_sweeps_any(monkeypatch):
@@ -251,7 +253,7 @@ def test_each_profile_field_is_computed_once(monkeypatch):
                         calls.append((p, name)) or compute(p))
         counted.__set_name__(_Profile, name)
         monkeypatch.setattr(_Profile, name, counted)
-    profile = _Profile(KupischSeries(CYCLIC, (4, 4, 3)), tabled=True)  # reduces to [2,3]
+    profile = _Profile(CYCLIC, (4, 4, 3), tabled=True)  # reduces to [2,3]
     first = [getattr(profile, name) for name in _PROFILE_FIELDS]
     assert all(getattr(profile, name) is value for name, value in zip(_PROFILE_FIELDS, first))
     assert [name for p, name in calls if p is profile] == list(_PROFILE_FIELDS)
@@ -294,16 +296,17 @@ def _cyclic_shards(n_max):
     for n in range(1, n_max + 1):
         for kind, first in _shards(n):
             if kind == CYCLIC:
-                yield n, first, [s for s in _cyclic_with_first(n, first) if not s.is_selfinjective]
+                swept = (KupischSeries(CYCLIC, c) for c in _cyclic_with_first(n, first))
+                yield n, first, [s for s in swept if not s.is_selfinjective]
 
 
 def test_shard_profiles_give_the_tower_terminal_and_the_reduced_gldim():
     for _, _, swept in _cyclic_shards(7):
         reduced = {}  # one shard's reduced profiles
         for series in swept:
-            profile = _Profile(series, reduced=reduced)
+            profile = _Profile(series.kind, series.c, reduced=reduced)
             assert profile.terminal == epsilon_tower(series).terminal, series
-            shared = [profile.of(k).report.gldim for k in profile.step.components]
+            shared = [profile.of(k).report.gldim for k in profile.step]
             assert max(shared) == max(homology_report(k).gldim for k in epsilon(series).components)
 
 
@@ -312,7 +315,8 @@ def test_a_wrong_reduced_terminal_is_reported_for_every_algebra_reaching_it(monk
     flip = {TERMINAL_LINEAR: TERMINAL_SELFINJECTIVE, TERMINAL_SELFINJECTIVE: TERMINAL_LINEAR}
     true_terminal = _Profile.terminal.func
     wrong = cached_property(
-        lambda p: flip[true_terminal(p)] if p.series == target else true_terminal(p))
+        lambda p: flip[true_terminal(p)] if (p.kind, p.c) == (target.kind, target.c)
+        else true_terminal(p))
     wrong.__set_name__(_Profile, "terminal")
     monkeypatch.setattr(_Profile, "terminal", wrong)
     expected = []
@@ -329,14 +333,14 @@ def test_a_wrong_reduced_terminal_is_reported_for_every_algebra_reaching_it(monk
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The series that ``verify`` reduces, in call order."""
+    """The (kind, c) of each algebra that ``verify`` reduces, in call order."""
     calls = []
 
     def counted(series):
-        calls.append(series)
-        return epsilon(series)
+        calls.append((series.kind, series.c))
+        return _reduce(series)
 
-    monkeypatch.setattr(nakayama.verify, "epsilon", counted)
+    monkeypatch.setattr(nakayama.verify, "_reduce", counted)
     return calls
 
 
@@ -344,7 +348,7 @@ def test_each_reduced_algebra_is_reduced_and_reported_once_per_shard(monkeypatch
     reports = []
 
     def counted(series, table=None):
-        reports.append(series)
+        reports.append((series.kind, series.c))
         return homology_report(series, table)
 
     monkeypatch.setattr(nakayama.verify, "homology_report", counted)
@@ -372,9 +376,10 @@ def test_one_epsilon_per_swept_algebra_and_per_reduced_class_in_a_shard(reductio
     for n, first, swept in _cyclic_shards(6):
         del reductions[:]
         _sweep_shard(SUITES, n, CYCLIC, first)
-        assert [s for s in reductions if s.n == n] == swept  # one each, in sweep order
-        reduced = [s for s in reductions if s.n < n]  # a reduction has fewer vertices
-        assert all(s.kind == CYCLIC for s in reduced) and len(set(reduced)) == len(reduced)
+        # one each, in sweep order
+        assert [c for _, c in reductions if len(c) == n] == [s.c for s in swept]
+        reduced = [(kind, c) for kind, c in reductions if len(c) < n]  # fewer vertices
+        assert all(kind == CYCLIC for kind, _ in reduced) and len(set(reduced)) == len(reduced)
     for n in range(2, 7):
         del reductions[:]
         _sweep_shard(SUITES, n, LINEAR, 0)
@@ -385,12 +390,74 @@ def test_sweep_relations_are_valid_by_construction():
     # the sweep reads the relation starts from c without building a RelationSystem; the
     # one-vertex line, which no enumeration reaches, has c_1 = 1 and no stored relation
     for series in [validate(LINEAR, (1,)), *enumerated_series()]:
-        profile = _Profile(series)
+        profile = _Profile(series.kind, series.c)
         pairs = tuple(profile.pairs)
         assert pairs == oracle_relations(series) == kupisch_to_relations(series).relations
         system = RelationSystem(series.kind, series.n, pairs)  # validates
         assert profile.r == system.r, series
         assert profile.chain == is_chain(system) == oracle_is_chain(system), series
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_shard_generators_yield_valid_series_that_enumerate_wraps(n):
+    # the sweep reads these tuples unvalidated: their validity is checked here, not assumed
+    for cap in (None, 2, 2 * n + 2) if n <= 6 else (None,):
+        yielded = [(kind, c) for kind, first in _shards(n, cap) for c in
+                   (_cyclic_with_first(n, first) if kind == CYCLIC else _linear_series(n))]
+        for kind, c in yielded:
+            KupischSeries(kind, c)  # raises unless c is valid as its kind
+        wrapped = [*enumerate_cyclic(n, cap), *(enumerate_linear(n) if n >= 2 else ())]
+        assert yielded == [(s.kind, s.c) for s in wrapped]
+
+
+def _check_reductions(series):
+    """Each (kind, c) the sweep's ``_reduce`` gives down the tower of ``series`` is valid as
+    its kind and is ``epsilon``'s component; returns how many were checked."""
+    checked = 0
+    while not series.is_selfinjective:
+        components = _reduce(series)
+        for kind, c in components:
+            KupischSeries(kind, c)  # raises unless c is valid as its kind
+        assert [(k.kind, k.c) for k in epsilon(series).components] == list(components), series
+        checked += len(components)
+        if components[0][0] != CYCLIC:
+            break
+        series = KupischSeries(*components[0])
+    return checked
+
+
+def test_reduced_components_are_valid_series():
+    swept = [s for n in range(1, 9) for s in enumerate_cyclic(n) if not s.is_selfinjective]
+    assert sum(map(_check_reductions, swept)) > len(swept)
+
+
+@given(st.integers(min_value=2, max_value=12).flatmap(
+    lambda n: cyclic_series(min_n=n, max_n=n, max_entry=3 * n + 1)))
+@settings(max_examples=200)
+def test_reduced_components_of_drawn_series_are_valid_series(series):
+    assume(not series.is_selfinjective)
+    assert _check_reductions(series) > 0
+
+
+def test_a_sweep_builds_no_kupisch_series(monkeypatch):
+    built, inside = Counter(), [False]
+    post_init = KupischSeries.__post_init__
+
+    def counted(series):
+        built[inside[0]] += 1
+        post_init(series)
+
+    def shard(*task):
+        inside[0] = True
+        try:
+            return _sweep_shard(*task)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(KupischSeries, "__post_init__", counted)
+    monkeypatch.setattr(nakayama.verify, "_sweep_shard", shard)
+    run_suites(SUITES, 6)
+    assert built[True] == 0 and built[False] > 0  # outside the shards: the census's chains
 
 
 # Each violation text, driven once through its suite's predicate on a profile
@@ -417,19 +484,19 @@ def test_sweep_relations_are_valid_by_construction():
      ["[3,2,2]: quasi-heredity disagrees with reduction shape"]),
 ])
 def test_each_report_check_words_its_violation(name, series, changes, expected):
-    profile = _Profile(series)
+    profile = _Profile(series.kind, series.c)
     profile.report = dataclasses.replace(profile.report, **changes)
     assert _SUITES[name][2](profile) == expected
 
 
 def test_madsen_words_its_violation():
-    profile = _Profile(validate(LINEAR, (3, 2, 1)))
+    profile = _Profile(LINEAR, (3, 2, 1))
     profile.table[0][1] = 5  # pd M(1,2) = 5, above its factors' pds
     assert _SUITES["madsen"][2](profile) == ["[3,2,1]: fails at M(1,2)"]
 
 
 def test_epsilon_words_a_reduction_of_the_wrong_size():
-    profile = _Profile(validate(CYCLIC, (3, 2, 2)))  # reduces to 2 vertices
+    profile = _Profile(CYCLIC, (3, 2, 2))  # reduces to 2 vertices
     profile.r = 3
     assert _SUITES["epsilon"][2](profile) == [
         "[3,2,2]: reduced algebra has 2 vertices, expected the relation count"]
