@@ -377,7 +377,7 @@ def test_one_epsilon_per_swept_algebra_and_per_reduced_class_in_a_shard(reductio
         del reductions[:]
         _sweep_shard(SUITES, n, CYCLIC, first)
         # one each, in sweep order
-        assert [c for _, c in reductions if len(c) == n] == [s.c for s in swept]
+        assert [r for r in reductions if len(r[1]) == n] == [(s.kind, s.c) for s in swept]
         reduced = [(kind, c) for kind, c in reductions if len(c) < n]  # fewer vertices
         assert all(kind == CYCLIC for kind, _ in reduced) and len(set(reduced)) == len(reduced)
     for n in range(2, 7):
