@@ -105,11 +105,13 @@ def canonical_form(series: KupischSeries) -> KupischSeries:
     rotation; two cyclic series present isomorphic algebras exactly when
     their canonical forms are equal.
     """
-    if series.kind != CYCLIC:
-        return series
-    c, n = series.c, series.n
-    best = max(c[j:] + c[:j] for j in range(n))
-    return series if best == c else KupischSeries(CYCLIC, best)
+    best = _canonical_c(series.kind, series.c)
+    return series if best == series.c else KupischSeries(CYCLIC, best)
+
+
+def _canonical_c(kind: str, c: tuple) -> tuple:
+    """The c of ``canonical_form``: its greatest rotation when cyclic, else c itself."""
+    return max(c[j:] + c[:j] for j in range(len(c))) if kind == CYCLIC else c
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +246,18 @@ def relations_to_kupisch(system: RelationSystem) -> KupischSeries:
     away: c_v = c_{v+1} + 1.  A line's walk begins at the sink with
     c_n = 1; a cycle's goes once round, backwards from its last start.
     """
+    return KupischSeries(system.kind, _kupisch_c(system))
+
+
+def _kupisch_c(system: RelationSystem) -> tuple:
+    """The c of ``relations_to_kupisch``, not validated."""
     n, length = system.n, {s: e - s + 1 for s, e in system.relations}
     origin = system.relations[-1][0] if system.kind == CYCLIC else n
     c, ahead = [0] * n, 0  # ahead: c of the vertex after v (0 past the sink)
     for step in range(n):
         v = (origin - 1 - step) % n + 1
         ahead = c[v - 1] = length.get(v, ahead + 1)
-    return KupischSeries(system.kind, tuple(c))
+    return tuple(c)
 
 
 def normalize_relation_labels(system: RelationSystem) -> RelationSystem:

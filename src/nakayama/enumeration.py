@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, canonical_form,
-                   check_kind, relations_to_kupisch)
+from .core import CYCLIC, LINEAR, KupischSeries, RelationSystem, _canonical_c, _kupisch_c, check_kind
 from .errors import NakayamaError
 
 
@@ -129,7 +128,7 @@ class ChainSystem(RelationSystem):
     """A chain-normalized relation system: on a cycle the first start is 1, every end at most n."""
 
     def to_kupisch(self) -> KupischSeries:
-        return canonical_form(relations_to_kupisch(self))
+        return KupischSeries(self.kind, _canonical_c(self.kind, _kupisch_c(self)))
 
 
 def is_chain(system: RelationSystem) -> bool:

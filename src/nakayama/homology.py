@@ -106,6 +106,13 @@ def pd_simples(series: KupischSeries) -> tuple:
     return tuple(1 if c[v % n] == c[v - 1] - 1 else _pd_walk(c, v, 1, memo) for v in range(1, n + 1))
 
 
+def _quasi_hereditary(series) -> bool:
+    """The report's criterion from c: pd S_n = 0 (c_n = 1; the jump test, read mod n, holds there
+    too) or pd S_v = 2, as Omega^2 S_v = M(v + c_v, c_{v+1} - c_v + 1) is projective."""
+    c, n = series.c, series.n
+    return c[-1] == 1 or any(c[(v + 1) % n] - c[v] + 1 == c[(v + c[v]) % n] for v in range(n))
+
+
 def _module_table(series: KupischSeries) -> list:
     """Every module's pd at [top - 1][length - 1], one row per top, by the start-row rule.
 
@@ -171,8 +178,8 @@ class HomologyReport:
     the notion is undefined.  ``brown_slack`` is a_min + min(lam) - gldim,
     the slack in the sharpest interval bound; nonnegative whenever
     ``s_connected`` is True.  ``quasi_hereditary`` is a criterion, not the
-    definition: some simple has pd 0 or pd 2.  Tests check it against a
-    heredity chain (``oracles.oracle_quasi_hereditary``) for n <= 6.
+    definition: some simple has pd 0 or pd 2, read from the pds here and from c by
+    ``_quasi_hereditary``.  Tests check both against a heredity chain for n <= 6.
     """
 
     kind: str

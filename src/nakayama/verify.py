@@ -22,19 +22,13 @@ from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
 
-from .core import CYCLIC, LINEAR, KupischSeries, _relation_pairs
+from .core import CYCLIC, LINEAR, KupischSeries, _canonical_c, _kupisch_c, _relation_pairs
 from .enumeration import (_cyclic_cap, _cyclic_with_first, _is_chain, _linear_series,
                           count_closed_form, enumerate_chains, fibonacci)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
-from .homology import (
-    INFINITE,
-    _module_table,
-    check_inequalities,
-    check_madsen,
-    check_parity_interpolation,
-    homology_report,
-)
+from .homology import (INFINITE, _module_table, _quasi_hereditary, check_inequalities,
+                        check_madsen, check_parity_interpolation, homology_report)
 
 
 def _shards(n: int, cap=None) -> list:
@@ -70,10 +64,12 @@ class _Profile:
         self.reduced = {} if reduced is None else reduced  # (kind, c) -> profile, one per shard
 
     __str__ = KupischSeries.__str__
-    is_selfinjective = KupischSeries.is_selfinjective
+    is_selfinjective = _lazy(KupischSeries.is_selfinjective.fget)
     table = _lazy(lambda self: _module_table(self))
     report = _lazy(  # from the table only when it is built anyway
         lambda self: homology_report(self, self.table if self.tabled else None))
+    maximal = _lazy(lambda self: (  # report.is_maximal; a report is built only if c passes
+        "report" in self.__dict__ or _quasi_hereditary(self)) and self.report.is_maximal)
     pairs = _lazy(lambda self: _relation_pairs(self.c))
     r = _lazy(lambda self: len(self.pairs) + (self.kind == LINEAR))  # RelationSystem.r
     chain = _lazy(lambda self: _is_chain(self.kind, self.n, self.pairs))
@@ -162,7 +158,7 @@ class _MaximalTally:
         rows, chain_set = [], set()
         for r in range(1, n):
             expected = count_closed_form(n, r, kind)
-            chains_r = [ch.to_kupisch().c for ch in enumerate_chains(n, r, kind)]
+            chains_r = [_canonical_c(kind, _kupisch_c(ch)) for ch in enumerate_chains(n, r, kind)]
             if len(chains_r) != expected:
                 violations.append(
                     f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}"
@@ -220,7 +216,7 @@ def _parity(profile):
 
 
 def _chain(profile):
-    maximal, chain = profile.report.is_maximal, profile.chain
+    maximal, chain = profile.maximal, profile.chain
     return [] if maximal == chain else [f"{profile}: maximal={maximal} but chain={chain}"]
 
 
@@ -279,7 +275,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
                 found[name][0] += 1
                 found[name][1].extend(violations)
         if counting:
-            tally.add(c, profile.report.is_maximal, profile.r, _chain(profile))
+            tally.add(c, profile.maximal, profile.r, _chain(profile))
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 

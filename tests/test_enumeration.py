@@ -22,7 +22,9 @@ from nakayama import (
     homology_report,
     is_chain,
     kupisch_to_relations,
+    relations_to_kupisch,
 )
+from nakayama.core import _canonical_c, _kupisch_c
 from nakayama.verify import _MaximalTally
 from nakayama.errors import NakayamaError
 
@@ -173,6 +175,16 @@ def test_chain_table_n4_r2():
         (5, 4, 3, 3),
         (4, 3, 3, 2),
     }
+
+
+def test_the_census_reads_each_chain_as_its_canonical_series():
+    # the census's chain route skips validation: each c it reads must be a valid canonical series
+    for kind in (CYCLIC, LINEAR):
+        for n in range(2, 8):
+            for r in range(1, n):
+                for ch in enumerate_chains(n, r, kind):
+                    expected = canonical_form(relations_to_kupisch(ch)).c
+                    assert _canonical_c(kind, _kupisch_c(ch)) == ch.to_kupisch().c == expected
 
 
 def test_chain_systems_satisfy_their_own_predicate():

@@ -29,7 +29,7 @@ from nakayama import (
     validate,
 )
 from nakayama.errors import InternalError
-from nakayama.homology import _module_table, _pd_walk, all_modules
+from nakayama.homology import _module_table, _pd_walk, _quasi_hereditary, all_modules
 
 from conftest import any_series, cyclic_series, enumerated_series, input_error, linear_series
 from oracles import (module_vertices, oracle_module_table, oracle_pd, oracle_quasi_hereditary,
@@ -371,8 +371,56 @@ def test_quasi_heredity_criterion_matches_the_definition():
         if series.n <= 6:
             criterion = homology_report(series).quasi_hereditary
             assert criterion == oracle_quasi_hereditary(series), series
+            assert _quasi_hereditary(series) == criterion, series
             checked += 1
     assert checked == 2630
+
+
+def _criterion_disagreements(quasi_hereditary, n_max):
+    """The series with n <= n_max, cyclic up to entries 3n + 1 for n <= 6, on which
+    ``quasi_hereditary`` differs from the report's criterion; and how many were read."""
+    read, differ = 0, []
+    for n in range(1, n_max + 1):
+        caps = (None, 3 * n + 1) if n <= 6 else (None,)
+        for series in [s for cap in caps for s in enumerate_cyclic(n, cap)] + (
+                list(enumerate_linear(n)) if n >= 2 else []):
+            read += 1
+            if quasi_hereditary(series) != homology_report(series).quasi_hereditary:
+                differ.append(series)
+    return differ, read
+
+
+def test_quasi_heredity_read_from_c_matches_the_report():
+    assert _criterion_disagreements(_quasi_hereditary, 9) == ([], 49838)
+
+
+def _jump_test(series, target=0, length=1):  # the jump half, to be mutated
+    c, n = series.c, series.n
+    return any(c[(v + 1) % n] - c[v] + length == c[(v + c[v] + target) % n] for v in range(n))
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda s: s.c[-1] == 1 or _jump_test(s, target=1),  # Omega^2 S_v read one top too far
+    lambda s: s.c[-1] == 1 or _jump_test(s, length=0),  # Omega S_v one factor too short
+    lambda s: s.c[-1] != 1 and _jump_test(s),  # a line answered wrongly at once
+], ids=["target", "length", "sink"])
+def test_quasi_heredity_read_from_c_catches_its_mutants(mutant):
+    differ, _ = _criterion_disagreements(mutant, 6)
+    assert differ
+
+
+def test_the_sink_test_only_returns_early():
+    # on a line the jump test at the sink v = n reads c_1 - 1 + 1 == c_1, so it holds there too:
+    # dropping the pd-0 half changes no answer, only the time a line takes
+    assert _criterion_disagreements(_jump_test, 9) == ([], 49838)
+
+
+@given(st.one_of(
+    st.integers(1, 12).flatmap(lambda n: cyclic_series(min_n=n, max_n=n, max_entry=3 * n + 1)),
+    linear_series(max_n=12)))
+@settings(max_examples=300)
+def test_quasi_heredity_read_from_c_matches_the_report_on_drawn_series(series):
+    assert _quasi_hereditary(series) == homology_report(series).quasi_hereditary
 
 
 def test_report_mixed_finiteness():

@@ -31,7 +31,7 @@ from nakayama import (
 from nakayama.enumeration import _cyclic_with_first, _is_chain, _linear_series
 from nakayama.errors import NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
-from nakayama.homology import _module_table
+from nakayama.homology import _module_table, _quasi_hereditary
 from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _Sweep,
                              _sweep_shard, _SUITE_FUNCTIONS)
 
@@ -199,7 +199,8 @@ def test_one_homology_report_per_algebra(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
-def test_census_reports_each_algebra_of_its_kind_once(monkeypatch, kind):
+def test_census_reports_exactly_the_quasi_hereditary_algebras(monkeypatch, kind):
+    # a non-quasi-hereditary algebra is not maximal, and c alone says so: no report for it
     calls = []
 
     def counted(series, table=None):
@@ -207,10 +208,48 @@ def test_census_reports_each_algebra_of_its_kind_once(monkeypatch, kind):
         return homology_report(series, table)
 
     monkeypatch.setattr(nakayama.verify, "homology_report", counted)
-    census(range(2, 6), kind)
-    swept = [s for n in range(2, 6)
+    census(range(2, 7), kind)
+    swept = [s for n in range(2, 7)
              for s in (enumerate_cyclic(n) if kind == CYCLIC else enumerate_linear(n))]
-    assert [(p.kind, p.c) for p in calls] == [(s.kind, s.c) for s in swept]
+    reported = [(s.kind, s.c) for s in swept if homology_report(s).quasi_hereditary]
+    assert [(p.kind, p.c) for p in calls] == reported
+    if kind == LINEAR:
+        assert len(reported) == len(swept)
+    else:
+        assert 0 < len(reported) < len(swept)
+
+
+@pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
+def test_maximal_builds_a_report_only_when_c_passes(kind):
+    for n in range(2, 7):
+        for series in enumerate_cyclic(n) if kind == CYCLIC else enumerate_linear(n):
+            profile, report = _Profile(kind, series.c), homology_report(series)
+            assert profile.maximal == report.is_maximal, series
+            assert ("report" in profile.__dict__) == report.quasi_hereditary, series
+
+
+def test_maximal_reads_a_built_report(monkeypatch):
+    calls = []
+    monkeypatch.setattr(nakayama.verify, "_quasi_hereditary", calls.append)
+    for c in ((3, 4, 4), (3, 2, 2)):  # not quasi-hereditary; maximal
+        profile = _Profile(CYCLIC, c)
+        report = profile.report
+        assert profile.maximal == report.is_maximal == (c == (3, 2, 2))
+    assert calls == []
+
+
+def test_a_full_sweep_reads_no_quasi_heredity_from_c(monkeypatch):
+    calls = []
+
+    def counted(series):
+        calls.append(series)
+        return _quasi_hereditary(series)
+
+    monkeypatch.setattr(nakayama.verify, "_quasi_hereditary", counted)
+    run_suites(SUITES, 6)
+    assert calls == []  # sconnected-qh runs first and builds every report
+    run_suites(["fibonacci"], 6)
+    assert len(calls) > 0
 
 
 def test_census_checks_every_n_before_it_sweeps_any(monkeypatch):
@@ -237,7 +276,8 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert census([3], CYCLIC).violations.count(text) == 1
 
 
-_PROFILE_FIELDS = ("table", "report", "pairs", "r", "chain", "step", "terminal")
+_PROFILE_FIELDS = ("is_selfinjective", "table", "report", "maximal", "pairs", "r", "chain", "step",
+                   "terminal")
 
 
 def test_lazy_fields_read_on_the_class_are_their_descriptors():
@@ -440,24 +480,17 @@ def test_reduced_components_of_drawn_series_are_valid_series(series):
 
 
 def test_a_sweep_builds_no_kupisch_series(monkeypatch):
-    built, inside = Counter(), [False]
+    built = []
     post_init = KupischSeries.__post_init__
-
-    def counted(series):
-        built[inside[0]] += 1
-        post_init(series)
-
-    def shard(*task):
-        inside[0] = True
-        try:
-            return _sweep_shard(*task)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(KupischSeries, "__post_init__", counted)
-    monkeypatch.setattr(nakayama.verify, "_sweep_shard", shard)
+    monkeypatch.setattr(KupischSeries, "__post_init__",
+                        lambda series: built.append(series.c) or post_init(series))
+    KupischSeries(CYCLIC, (3, 2, 2))
+    assert built == [(3, 2, 2)]  # the counter is live
+    built.clear()
     run_suites(SUITES, 6)
-    assert built[True] == 0 and built[False] > 0  # outside the shards: the census's chains
+    for kind in (CYCLIC, LINEAR):
+        census(range(2, 7), kind)  # the chain route included
+    assert built == []
 
 
 # Each violation text, driven once through its suite's predicate on a profile
