@@ -106,6 +106,14 @@ def pd_simples(series: KupischSeries) -> tuple:
     return tuple(1 if c[v % n] == c[v - 1] - 1 else _pd_walk(c, v, 1, memo) for v in range(1, n + 1))
 
 
+def _gldim(series, pds):
+    """The global dimension, the simples' largest pd; a line must realize each of 0..gldim."""
+    gldim = max(pds)
+    if series.kind == LINEAR and len(set(pds)) != gldim + 1:
+        raise InternalError(f"linear {series} has simple pds {pds}, not 0..{gldim}")
+    return gldim
+
+
 def _quasi_hereditary(series) -> bool:
     """The report's criterion from c: pd S_n = 0 (c_n = 1; the jump test, read mod n, holds there
     too) or pd S_v = 2, as Omega^2 S_v = M(v + c_v, c_{v+1} - c_v + 1) is projective."""
@@ -228,10 +236,10 @@ class HomologyReport:
         }
 
 
-def homology_report(series: KupischSeries, table=None) -> HomologyReport:
-    """The full report for a connected Nakayama algebra; ``table``: its module pds, if built."""
-    pds = pd_simples(series) if table is None else tuple(row[0] for row in table)
-    gldim = max(pds)
+def homology_report(series: KupischSeries, pds=None) -> HomologyReport:
+    """The full report for a connected Nakayama algebra; ``pds``: its simples' pds, if known."""
+    pds = pd_simples(series) if pds is None else pds
+    gldim = _gldim(series, pds)
     # each count is a run of the sorted pds, so even n distinct pds cost one sort, not n scans
     lam = {cc: series.n - len(list(run)) for cc, run in groupby(sorted(pds))}
     lam.pop(INFINITE, None)
@@ -241,9 +249,6 @@ def homology_report(series: KupischSeries, table=None) -> HomologyReport:
     if gldim != INFINITE:
         s_connected = len(o_set) == gldim - a_min + 1
         brown_slack = a_min + min(lam.values()) - gldim
-        if series.kind == LINEAR and not (s_connected and a_min == 0):
-            # acyclic algebras realize every pd from 0 up to the global dimension
-            raise InternalError(f"linear {series} has simple pds {pds}, not 0..{gldim}")
     return HomologyReport(
         kind=series.kind,
         c=series.c,

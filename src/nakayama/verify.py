@@ -1,17 +1,17 @@
 """Machine verification suites for the structural theorems, and the census.
 
-Each suite sweeps the full enumeration (cyclic entries capped at 2n-1 by
-default, every linear series) up to a given vertex count and returns a
-list of violation strings; an empty list means the theorem held on every
-instance.  ``run_suites`` runs the requested suites in one sweep per n, cut
-into contiguous enumeration shards that a process pool may compute in any
-order; the shards merge in enumeration order, so the number of workers
-never changes any result.  ``_sweep_shard`` is the one loop over the
-algebras: ``census`` is the ``fibonacci`` suite's sweep over one kind,
-returned as its table of counts.  The census's tally (``_MaximalTally``,
-the brute-force route), its rows and its table are here, beside that sweep.
-The sweep reads each algebra as (kind, c) from the enumeration to the last predicate;
-it builds no ``KupischSeries`` and writes "[c1,c2,...]" only for a violation.
+Each suite sweeps the full enumeration (cyclic entries capped at 2n-1 by default, every linear
+series) up to a given vertex count and returns a list of violation strings; an empty list means
+the theorem held on every instance.  ``run_suites`` runs the requested suites in one sweep per
+n, cut into contiguous enumeration shards that a process pool may compute in any order; the
+shards merge in enumeration order, so the number of workers never changes any result.
+``_sweep_shard`` is the one loop over the algebras: ``census`` is the ``fibonacci`` suite's
+sweep over one kind, returned as its table of counts.  The census's tally (``_MaximalTally``,
+the brute-force route), its rows and its table are here, beside that sweep.  The sweep reads
+each algebra as (kind, c) from the enumeration to the last predicate; it builds no
+``KupischSeries`` and writes "[c1,c2,...]" only for a violation.  The simples' pds come from
+the module table when ``madsen`` builds one, else from ``pd_simples``; a sweep that builds no
+report first (the census) builds one only where they reach Brown's bound.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .enumeration import (_cyclic_cap, _cyclic_with_first, _is_chain, _linear_se
                           count_closed_form, enumerate_chains, fibonacci)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
-from .homology import (INFINITE, _module_table, _quasi_hereditary, check_inequalities,
-                        check_madsen, check_parity_interpolation, homology_report)
+from .homology import (INFINITE, _gldim, _module_table, _quasi_hereditary, check_inequalities,
+                        check_madsen, check_parity_interpolation, homology_report, pd_simples)
 
 
 def _shards(n: int, cap=None) -> list:
@@ -56,6 +56,7 @@ class _Profile:
 
     It reads as a series (``kind``, ``c``, ``n``, ``is_selfinjective``, its label), so the
     functions of ``homology`` and ``filtration`` take it in place of a ``KupischSeries``.
+    Its simples' ``pds`` are the table's first column when madsen builds it, else ``pd_simples``.
     """
 
     def __init__(self, kind, c, tabled=False, reduced=None):
@@ -66,13 +67,17 @@ class _Profile:
     __str__ = KupischSeries.__str__
     is_selfinjective = _lazy(KupischSeries.is_selfinjective.fget)
     table = _lazy(lambda self: _module_table(self))
-    report = _lazy(  # from the table only when it is built anyway
-        lambda self: homology_report(self, self.table if self.tabled else None))
-    maximal = _lazy(lambda self: (  # report.is_maximal; a report is built only if c passes
-        "report" in self.__dict__ or _quasi_hereditary(self)) and self.report.is_maximal)
+    pds = _lazy(lambda self: (  # the table's first column only when it is built anyway
+        tuple(row[0] for row in self.table) if self.tabled else pd_simples(self)))
+    report = _lazy(lambda self: homology_report(self, self.pds))
+    maximal = _lazy(lambda self: self.report.is_maximal if "report" in self.__dict__ else (
+        # gldim reaches Brown's bound, lambda_1 = r (+1 cyclic): pd S_v = 1 iff v starts no relation
+        _quasi_hereditary(self) and _gldim(self, self.pds) >= self.r + (self.kind == CYCLIC)
+        and self.report.is_maximal))
     pairs = _lazy(lambda self: _relation_pairs(self.c))
     r = _lazy(lambda self: len(self.pairs) + (self.kind == LINEAR))  # RelationSystem.r
     chain = _lazy(lambda self: _is_chain(self.kind, self.n, self.pairs))
+    chain_violations = _lazy(lambda self: _chain(self))  # the chain suite's, and the census tally's
     step = _lazy(lambda self: _reduce(self))  # the first reduction's (kind, c) components
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.is_selfinjective else
@@ -253,7 +258,7 @@ _SUITES = {  # suite -> (its theorem, noun for the algebras it checks, predicate
     "parity": ("Odd attainment and even interpolation of simple pd values.",
                "finite-gldim algebras", _parity),
     "chain": ("Maximal global dimension iff the defining relations form a chain.",
-              "algebras", _chain),
+              "algebras", lambda p: p.chain_violations),
     "fibonacci": ("Census counts match the Fibonacci values, all three routes agreeing.",
                   None, None),
     "epsilon": ("Tower terminal, vertex count, dimension drop by two, and reduction shape.",
@@ -275,7 +280,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
                 found[name][0] += 1
                 found[name][1].extend(violations)
         if counting:
-            tally.add(c, profile.maximal, profile.r, _chain(profile))
+            tally.add(c, profile.maximal, profile.r, profile.chain_violations)
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
     return found, tally
 

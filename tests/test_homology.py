@@ -30,6 +30,7 @@ from nakayama import (
 )
 from nakayama.errors import InternalError
 from nakayama.homology import _module_table, _pd_walk, _quasi_hereditary, all_modules
+from nakayama.verify import _Profile
 
 from conftest import any_series, cyclic_series, enumerated_series, input_error, linear_series
 from oracles import (module_vertices, oracle_module_table, oracle_pd, oracle_quasi_hereditary,
@@ -464,9 +465,8 @@ def test_report_flags_match_their_definitions():
 def test_a_line_whose_simple_pds_are_not_0_to_gldim_is_an_internal_error(first_column):
     # (1, 3, 0) has a gap at 2, (2, 1, 1) has no 0; no valid line gets here
     stand_in = types.SimpleNamespace(kind=LINEAR, c=(3, 2, 1), n=3)
-    table = [[p] for p in first_column]
     with pytest.raises(InternalError, match="has simple pds"):
-        homology_report(stand_in, table)
+        homology_report(stand_in, first_column)
 
 
 def test_report_on_a_long_line():
@@ -482,10 +482,16 @@ def test_report_on_a_long_line():
 
 
 def test_lambda_one_equals_relation_count():
-    for series in all_algebras(5, cap=9):
-        if series.is_selfinjective or series.c == (1,):  # (1,) is the semisimple algebra
+    # pd S_v = 1 iff v starts no relation, and a line's sink (pd 0) is its extra relation; the
+    # census reads Brown's bound as r by this identity, so it must hold on selfinjective ones too
+    swept = [s for s in enumerated_series() if s.n <= 8]
+    assert len(swept) == 14308 and any(s.is_selfinjective for s in swept)
+    for series in swept + list(all_algebras(5, cap=9)):
+        if series.c == (1,):  # the semisimple algebra
             continue
-        assert homology_report(series).lambda_one == kupisch_to_relations(series).r
+        lambda_one = homology_report(series).lambda_one
+        assert lambda_one == _Profile(series.kind, series.c).r, series
+        assert lambda_one == kupisch_to_relations(series).r, series
 
 
 def test_linear_o_set_is_full_interval():

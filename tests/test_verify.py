@@ -29,10 +29,10 @@ from nakayama import (
     validate,
 )
 from nakayama.enumeration import _cyclic_with_first, _is_chain, _linear_series
-from nakayama.errors import NakayamaError
+from nakayama.errors import InternalError, NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
-from nakayama.homology import _module_table, _quasi_hereditary
-from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _Sweep,
+from nakayama.homology import _module_table, _quasi_hereditary, pd_simples
+from nakayama.verify import (SUITES, run_suites, _chain, _SUITES, _lazy, _Profile, _shards, _Sweep,
                              _sweep_shard, _SUITE_FUNCTIONS)
 
 from conftest import cyclic_series, enumerated_series
@@ -199,33 +199,83 @@ def test_one_homology_report_per_algebra(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
-def test_census_reports_exactly_the_quasi_hereditary_algebras(monkeypatch, kind):
-    # a non-quasi-hereditary algebra is not maximal, and c alone says so: no report for it
+def test_census_reports_exactly_the_maximal_algebras(monkeypatch, kind):
+    # an algebra whose gldim stays below Brown's bound is not maximal: no report for it
     calls = []
 
-    def counted(series, table=None):
+    def counted(series, pds=None):
         calls.append(series)
-        return homology_report(series, table)
+        return homology_report(series, pds)
 
     monkeypatch.setattr(nakayama.verify, "homology_report", counted)
-    census(range(2, 7), kind)
+    table = census(range(2, 7), kind)
     swept = [s for n in range(2, 7)
              for s in (enumerate_cyclic(n) if kind == CYCLIC else enumerate_linear(n))]
-    reported = [(s.kind, s.c) for s in swept if homology_report(s).quasi_hereditary]
+    reported = [(s.kind, s.c) for s in swept if homology_report(s).is_maximal]
     assert [(p.kind, p.c) for p in calls] == reported
-    if kind == LINEAR:
-        assert len(reported) == len(swept)
-    else:
-        assert 0 < len(reported) < len(swept)
+    assert len(reported) == sum(table.counts().values())
+    assert 0 < len(reported) < len(swept)
 
 
 @pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
-def test_maximal_builds_a_report_only_when_c_passes(kind):
-    for n in range(2, 7):
-        for series in enumerate_cyclic(n) if kind == CYCLIC else enumerate_linear(n):
+def test_maximal_builds_a_report_iff_maximal(kind):
+    # every enumerated series of the kind with n <= 8, cyclic ones also up to entries 3n + 1
+    maximal = swept = 0
+    for series in enumerated_series():
+        if series.kind == kind and series.n <= 8:
             profile, report = _Profile(kind, series.c), homology_report(series)
             assert profile.maximal == report.is_maximal, series
-            assert ("report" in profile.__dict__) == report.quasi_hereditary, series
+            assert ("report" in profile.__dict__) == report.is_maximal, series
+            maximal, swept = maximal + report.is_maximal, swept + 1
+    assert 0 < maximal < swept
+
+
+@pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
+def test_the_census_catches_a_gate_one_past_brown_bound(monkeypatch, kind):
+    assert census(range(2, 7), kind).violations == []
+    off_by_one = _lazy(lambda p: p.report.is_maximal if "report" in p.__dict__ else (
+        _quasi_hereditary(p) and max(p.pds) > p.r + (p.kind == CYCLIC) and p.report.is_maximal))
+    off_by_one.__set_name__(_Profile, "maximal")
+    monkeypatch.setattr(_Profile, "maximal", off_by_one)
+    assert census(range(2, 7), kind).violations
+
+
+def _with_a_gap(pds):
+    """The pds of a line with gldim g, its pd g - 1 moved to g: a gap, or no 0 when g = 1."""
+    return tuple(max(pds) if p == max(pds) - 1 else p for p in pds)
+
+
+def test_the_census_checks_each_line_it_walks_for_gaps(monkeypatch):
+    monkeypatch.setattr(nakayama.verify, "pd_simples", lambda s: _with_a_gap(pd_simples(s)))
+    with pytest.raises(InternalError, match="has simple pds"):
+        census(range(2, 5), LINEAR)
+
+
+def test_the_census_checks_lines_it_builds_no_report_for(monkeypatch):
+    def gapped(series):  # only a line below Brown's bound gets a gap; its gldim is unchanged
+        pds = pd_simples(series)
+        return pds if homology_report(series).is_maximal else _with_a_gap(pds)
+
+    monkeypatch.setattr(nakayama.verify, "pd_simples", gapped)
+    assert census(range(2, 5), LINEAR).violations == []  # every line with n <= 4 is maximal
+    with pytest.raises(InternalError, match="has simple pds"):
+        census([5], LINEAR)
+
+
+def test_the_chain_predicate_runs_once_per_algebra(monkeypatch):
+    calls = []
+
+    def counted(profile):
+        calls.append((profile.kind, profile.c))
+        return _chain(profile)
+
+    monkeypatch.setattr(nakayama.verify, "_chain", counted)  # and wherever a suite holds it:
+    monkeypatch.setitem(_SUITES, "chain", tuple(counted if f is _chain else f
+                                                for f in _SUITES["chain"]))
+    run_suites(SUITES, 6)  # chain and fibonacci both read it
+    swept = [(s.kind, s.c) for n in range(2, 7)
+             for s in (*enumerate_cyclic(n), *enumerate_linear(n))]
+    assert sorted(calls) == sorted(swept) and len(calls) == len(set(calls))
 
 
 def test_maximal_reads_a_built_report(monkeypatch):
@@ -276,8 +326,8 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert census([3], CYCLIC).violations.count(text) == 1
 
 
-_PROFILE_FIELDS = ("is_selfinjective", "table", "report", "maximal", "pairs", "r", "chain", "step",
-                   "terminal")
+_PROFILE_FIELDS = ("is_selfinjective", "table", "pds", "report", "maximal", "pairs", "r", "chain",
+                   "chain_violations", "step", "terminal")
 
 
 def test_lazy_fields_read_on_the_class_are_their_descriptors():
@@ -387,9 +437,9 @@ def reductions(monkeypatch):
 def test_each_reduced_algebra_is_reduced_and_reported_once_per_shard(monkeypatch, reductions):
     reports = []
 
-    def counted(series, table=None):
+    def counted(series, pds=None):
         reports.append((series.kind, series.c))
-        return homology_report(series, table)
+        return homology_report(series, pds)
 
     monkeypatch.setattr(nakayama.verify, "homology_report", counted)
     saved = 0
