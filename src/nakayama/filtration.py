@@ -99,10 +99,6 @@ class EpsilonStep:
             )
         return self.components[0]
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(k.n for k in self.components)
-
 
 def epsilon(series: KupischSeries) -> EpsilonStep:
     """The syzygy-filtered algebra: the components of ``_reduce``, validated."""

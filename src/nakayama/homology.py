@@ -114,6 +114,11 @@ def _gldim(series, pds):
     return gldim
 
 
+def _brown_bound(kind: str, lambda_one: int) -> int:
+    """Brown's bound on the gldim of a quasi-hereditary algebra: lambda_1, +1 when cyclic."""
+    return lambda_one + (kind == CYCLIC)
+
+
 def _quasi_hereditary(series) -> bool:
     """The report's criterion from c: pd S_n = 0 (c_n = 1; the jump test, read mod n, holds there
     too) or pd S_v = 2, as Omega^2 S_v = M(v + c_v, c_{v+1} - c_v + 1) is projective."""
@@ -208,8 +213,8 @@ class HomologyReport:
 
     @property
     def brown_bound(self) -> int:
-        """Brown's bound on gldim for quasi-hereditary algebras: lambda_1, +1 when cyclic."""
-        return self.lambda_one + (1 if self.kind == CYCLIC else 0)
+        """Brown's bound on gldim for quasi-hereditary algebras, read at ``lambda_one``."""
+        return _brown_bound(self.kind, self.lambda_one)
 
     @property
     def is_maximal(self) -> bool:

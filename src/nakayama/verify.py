@@ -6,12 +6,12 @@ the theorem held on every instance.  ``run_suites`` runs the requested suites in
 n, cut into contiguous enumeration shards that a process pool may compute in any order; the
 shards merge in enumeration order, so the number of workers never changes any result.
 ``_sweep_shard`` is the one loop over the algebras: ``census`` is the ``fibonacci`` suite's
-sweep over one kind, returned as its table of counts.  The census's tally (``_MaximalTally``,
-the brute-force route), its rows and its table are here, beside that sweep.  The sweep reads
-each algebra as (kind, c) from the enumeration to the last predicate; it builds no
-``KupischSeries`` and writes "[c1,c2,...]" only for a violation.  The simples' pds come from
-the module table when ``madsen`` builds one, else from ``pd_simples``; a sweep that builds no
-report first (the census) builds one only where they reach Brown's bound.
+sweep over one kind, returned as its table of counts.  Each shard's census tally (the
+brute-force route) is plain data, and ``_census_rows`` turns the tallies of one n and kind into
+its rows, for both.  The sweep reads each algebra as (kind, c) from the enumeration to the last
+predicate; it builds no ``KupischSeries`` and writes "[c1,c2,...]" only for a violation.  The
+simples' pds come from the module table when ``madsen`` builds one, else from ``pd_simples``; a
+sweep that builds no report first (the census) builds one only where they reach Brown's bound.
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ import json
 import os
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from .core import CYCLIC, LINEAR, KupischSeries, _canonical_c, _kupisch_c, _relation_pairs
 from .enumeration import (_cyclic_cap, _cyclic_with_first, _is_chain, _linear_series,
                           count_closed_form, enumerate_chains, fibonacci)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
-from .homology import (INFINITE, _gldim, _module_table, _quasi_hereditary, check_inequalities,
-                        check_madsen, check_parity_interpolation, homology_report, pd_simples)
+from .homology import (INFINITE, _brown_bound, _gldim, _module_table, _quasi_hereditary,
+                        check_inequalities, check_madsen, check_parity_interpolation,
+                        homology_report, pd_simples)
 
 
 def _shards(n: int, cap=None) -> list:
@@ -71,8 +72,8 @@ class _Profile:
         tuple(row[0] for row in self.table) if self.tabled else pd_simples(self)))
     report = _lazy(lambda self: homology_report(self, self.pds))
     maximal = _lazy(lambda self: self.report.is_maximal if "report" in self.__dict__ else (
-        # gldim reaches Brown's bound, lambda_1 = r (+1 cyclic): pd S_v = 1 iff v starts no relation
-        _quasi_hereditary(self) and _gldim(self, self.pds) >= self.r + (self.kind == CYCLIC)
+        # gldim reaches Brown's bound, read with lambda_1 = r: pd S_v = 1 iff v starts no relation
+        _quasi_hereditary(self) and _gldim(self, self.pds) >= _brown_bound(self.kind, self.r)
         and self.report.is_maximal))
     pairs = _lazy(lambda self: _relation_pairs(self.c))
     r = _lazy(lambda self: len(self.pairs) + (self.kind == LINEAR))  # RelationSystem.r
@@ -131,60 +132,42 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-class _MaximalTally:
-    """The brute-force census route for one n and kind, fed one algebra at a time.
+def _census_rows(n: int, kind: str, cap, tallies) -> list:
+    """The census rows of n and ``kind`` from its shards' tallies, in enumeration order.
 
-    ``rows`` checks it against the chain systems, the closed forms and the
-    Fibonacci number; the last (total) row carries the disagreements.  The
-    count and the set are compared with the chain forms whose entries fit
-    the cyclic ``cap`` (linear series are never capped), and the Fibonacci
-    total only when the cap is at least 2n - 1; a shard's tally needs no cap.
-    ``shards``: the tallies of the enumeration's stretches of this kind, in
-    order, merged into this one.
+    A tally is a shard's (maximal count by r, set of maximal c, chain violations), read and
+    never changed.  The last (total) row carries the chain violations, then the disagreements
+    with the chain systems, the closed forms and the Fibonacci number.  The count and the set
+    are compared with the chain forms whose entries fit the cyclic ``cap`` (linear series are
+    never capped), and the Fibonacci total only when the cap is at least 2n - 1.
     """
-
-    def __init__(self, n: int, kind: str, cap: "int | None" = None, shards=()):
-        self.n, self.kind, self.cap = n, kind, _cyclic_cap(n, cap if kind == CYCLIC else None)
-        self.by_r, self.classes, self.violations = Counter(), set(), []
-        for shard in shards:
-            self.by_r.update(shard.by_r)
-            self.classes |= shard.classes
-            self.violations += shard.violations
-
-    def add(self, c: tuple, maximal: bool, r: int, chain_violations: list) -> None:
-        """Count c if maximal; the chain suite's violations on it join the total row."""
-        self.violations += chain_violations
-        if maximal:
-            self.by_r[r] += 1
-            self.classes.add(c)
-
-    def rows(self) -> list:
-        n, kind, violations = self.n, self.kind, list(self.violations)
-        rows, chain_set = [], set()
-        for r in range(1, n):
-            expected = count_closed_form(n, r, kind)
-            chains_r = [_canonical_c(kind, _kupisch_c(ch)) for ch in enumerate_chains(n, r, kind)]
-            if len(chains_r) != expected:
-                violations.append(
-                    f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}"
-                )
-            chains_r = [c for c in chains_r if c[0] <= self.cap]  # c[0] is the largest entry
-            chain_set.update(chains_r)
-            maximal = self.by_r[r]
-            if maximal != len(chains_r):
-                violations.append(
-                    f"n={n} r={r} {kind}: {maximal} maximal != {len(chains_r)} chains"
-                )
-            rows.append(CensusRow(n, kind, r, maximal, expected, None))
-        if chain_set != self.classes:
-            extra = sorted(chain_set ^ self.classes)
-            violations.append(f"n={n} {kind}: chain/maximal sets differ at {extra}")
-        total = sum(self.by_r.values())
-        fib = fibonacci(2 * n - 2 if kind == CYCLIC else 2 * n - 3)
-        if total != fib and self.cap >= 2 * n - 1:
-            violations.append(f"n={n} {kind}: total {total} != Fibonacci {fib}")
-        rows.append(CensusRow(n, kind, None, total, None, fib, tuple(violations)))
-        return rows
+    cap = _cyclic_cap(n, cap if kind == CYCLIC else None)
+    by_r, classes, violations = Counter(), set(), []
+    for shard_by_r, shard_classes, shard_violations in tallies:
+        by_r.update(shard_by_r)
+        classes |= shard_classes
+        violations += shard_violations
+    rows, chain_set = [], set()
+    for r in range(1, n):
+        expected = count_closed_form(n, r, kind)
+        chains_r = [_canonical_c(kind, _kupisch_c(ch)) for ch in enumerate_chains(n, r, kind)]
+        if len(chains_r) != expected:
+            violations.append(
+                f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}")
+        chains_r = [c for c in chains_r if c[0] <= cap]  # c[0] is the largest entry
+        chain_set.update(chains_r)
+        if by_r[r] != len(chains_r):
+            violations.append(f"n={n} r={r} {kind}: {by_r[r]} maximal != {len(chains_r)} chains")
+        rows.append(CensusRow(n, kind, r, by_r[r], expected, None))
+    if chain_set != classes:
+        violations.append(
+            f"n={n} {kind}: chain/maximal sets differ at {sorted(chain_set ^ classes)}")
+    total = sum(by_r.values())
+    fib = fibonacci(2 * n - 2 if kind == CYCLIC else 2 * n - 3)
+    if total != fib and cap >= 2 * n - 1:
+        violations.append(f"n={n} {kind}: total {total} != Fibonacci {fib}")
+    rows.append(CensusRow(n, kind, None, total, None, fib, tuple(violations)))
+    return rows
 
 
 # Each predicate returns None to skip an algebra, else its violations.
@@ -270,7 +253,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
     """One shard's raw results: {suite: [algebras checked, violations]} and its census tally."""
     checks = {name: _SUITES[name][2] for name in names if _SUITES[name][2]}
     found = {name: [0, []] for name in checks}
-    counting, tally = "fibonacci" in names, _MaximalTally(n, kind)
+    counting, by_r, classes, chain_violations = "fibonacci" in names, Counter(), set(), []
     tabled, reduced = "madsen" in checks, {}
     for c in _cyclic_with_first(n, first) if kind == CYCLIC else _linear_series(n):
         profile = _Profile(kind, c, tabled, reduced)
@@ -280,39 +263,34 @@ def _sweep_shard(names, n: int, kind: str, first: int):
                 found[name][0] += 1
                 found[name][1].extend(violations)
         if counting:
-            tally.add(c, profile.maximal, profile.r, profile.chain_violations)
+            chain_violations += profile.chain_violations
+            if profile.maximal:
+                by_r[profile.r] += 1
+                classes.add(c)
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
-    return found, tally
+    return found, (by_r, classes, chain_violations)
 
 
-class _Sweep:
-    """One pass over the n-vertex algebras giving each named suite's (detail, violations).
+def _results(names, n: int, cap=None, shards=None) -> dict:
+    """One pass over the n-vertex algebras: each named suite's (detail, violations).
 
-    ``shards`` are the raw results of ``_shards(n, cap)`` in order, when a pool
-    computed them; without them the pass runs in this process when ``results``
-    is first read, inside the first suite call, so an unread sweep costs nothing.
+    ``shards`` are the raw results of ``_shards(n, cap)`` in order, when a pool computed
+    them; without them the pass runs in this process.
     """
-
-    def __init__(self, names, n: int, cap=None, shards=None):
-        self.names, self.n, self.cap, self.shards = names, n, cap, shards
-
-    @_lazy
-    def results(self) -> dict:
-        shards = self.shards
-        if shards is None:
-            shards = [_sweep_shard(self.names, self.n, *s) for s in _shards(self.n, self.cap)]
-        results = {name: (f"{sum(found[name][0] for found, _ in shards)} {_SUITES[name][1]}",
-                          [v for found, _ in shards for v in found[name][1]])
-                   for name in self.names if _SUITES[name][2]}
-        if "fibonacci" in self.names:
-            totals = [_MaximalTally(self.n, kind, self.cap,
-                                    (t for _, t in shards if t.kind == kind)).rows()[-1]
-                      for kind in (CYCLIC, LINEAR)]
-            results["fibonacci"] = (
-                "; ".join(f"{t.kind} {t.enumerated} (F={t.fibonacci})" for t in totals),
-                [v for t in totals for v in t.violations],
-            )
-        return results
+    if shards is None:
+        shards = [_sweep_shard(names, n, *s) for s in _shards(n, cap)]
+    results = {name: (f"{sum(found[name][0] for found, _ in shards)} {_SUITES[name][1]}",
+                      [v for found, _ in shards for v in found[name][1]])
+               for name in names if _SUITES[name][2]}
+    if "fibonacci" in names:
+        tallies = [(kind, tally) for (kind, _), (_, tally) in zip(_shards(n, cap), shards)]
+        totals = [_census_rows(n, kind, cap, (t for k, t in tallies if k == kind))[-1]
+                  for kind in (CYCLIC, LINEAR)]
+        results["fibonacci"] = (
+            "; ".join(f"{t.kind} {t.enumerated} (F={t.fibonacci})" for t in totals),
+            [v for t in totals for v in t.violations],
+        )
+    return results
 
 
 def census(ns, kind: str, cap: "int | None" = None) -> CensusTable:
@@ -323,23 +301,29 @@ def census(ns, kind: str, cap: "int | None" = None) -> CensusTable:
     chain systems and the closed-form binomials, its canonical forms must be
     those of the chain systems, maximal iff chain must hold per algebra, and
     the total must be F_{2n-2} (cyclic) or F_{2n-3} (linear); a cyclic ``cap``
-    below 2n-1 is compared as ``_MaximalTally`` says.  Disagreements go to the
+    below 2n-1 is compared as ``_census_rows`` says.  Disagreements go to the
     rows' ``violations``; the homology theorems are left to ``nakayama verify``.
     """
     rows, ns = [], list(ns)
     if low := [n for n in ns if n < 2]:  # every n is checked before any is swept
         raise NakayamaError(f"census needs n >= 2, got {low[0]}")
     for n in ns:
-        shards = (_sweep_shard(("fibonacci",), n, kind, first)[1]
-                  for shard_kind, first in _shards(n, cap) if shard_kind == kind)
-        rows.extend(_MaximalTally(n, kind, cap, shards).rows())
+        tallies = (_sweep_shard(("fibonacci",), n, kind, first)[1]
+                   for shard_kind, first in _shards(n, cap) if shard_kind == kind)
+        rows.extend(_census_rows(n, kind, cap, tallies))
     return CensusTable(kind, tuple(rows))
 
 
 def _suite(name: str, statement: str):
-    """The public ``suite_<name>(n, cap=None, sweep=None)``, documented by its theorem."""
+    """The public ``suite_<name>(n, cap=None, sweep=None)``, documented by its theorem.
+
+    ``sweep`` is n's shared pass, called for its ``_results``; without one the suite sweeps
+    alone.  ``run_suites`` memoizes the pass, so a serial run makes it inside the first suite
+    call: the benchmark's Recorder, until it times the sweep's own stages, needs the edge
+    ``suite_chain`` -> ``homology_report``.
+    """
     def suite(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-        return (sweep or _Sweep((name,), n, cap)).results[name]
+        return (sweep() if sweep else _results((name,), n, cap))[name]
     suite.__name__ = suite.__qualname__ = "suite_" + name.replace("-", "_")
     suite.__doc__ = statement
     return suite
@@ -383,7 +367,7 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
         shards = {n: [raw[(n, *shard)] for shard in _shards(n, cap)] for n in ns}
     merged = {name: ([], []) for name in names}
     for n in ns:
-        sweep = _Sweep(names, n, cap, shards[n])
+        sweep = cache(partial(_results, names, n, cap, shards[n]))
         for name in names:
             detail, violations = _SUITE_FUNCTIONS[name](n, cap, sweep)
             merged[name][0].append(f"n={n}: {detail}")

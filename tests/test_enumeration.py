@@ -1,4 +1,6 @@
+import copy
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, reject, settings
@@ -25,7 +27,7 @@ from nakayama import (
     relations_to_kupisch,
 )
 from nakayama.core import _canonical_c, _kupisch_c
-from nakayama.verify import _MaximalTally
+from nakayama.verify import _census_rows
 from nakayama.errors import NakayamaError
 
 from oracles import brute_force_cyclic, burnside_cyclic_classes, oracle_is_chain
@@ -293,10 +295,11 @@ def test_census_csv_and_json():
 
 
 def test_tally_rows_can_be_read_twice():
-    tally = _MaximalTally(3, CYCLIC)
     series = KupischSeries(CYCLIC, (4, 3, 2))  # maximal; (3, 2, 2) and (5, 4, 3) stay unfed
-    tally.add(series.c, True, kupisch_to_relations(series).r, ["a chain violation"])
-    first = tally.rows()
+    tallies = [(Counter({kupisch_to_relations(series).r: 1}), {series.c}, ["a chain violation"]),
+               (Counter(), set(), [])]
+    kept = copy.deepcopy(tallies)
+    first = _census_rows(3, CYCLIC, None, tallies)
     assert first[-1].violations == (
         "a chain violation",
         "n=3 r=1 cyclic: 1 maximal != 2 chains",
@@ -304,8 +307,8 @@ def test_tally_rows_can_be_read_twice():
         "n=3 cyclic: chain/maximal sets differ at [(3, 2, 2), (5, 4, 3)]",
         "n=3 cyclic: total 1 != Fibonacci 3",
     )
-    assert tally.rows() == first
-    assert tally.violations == ["a chain violation"]
+    assert _census_rows(3, CYCLIC, None, tallies) == first
+    assert tallies == kept
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -321,7 +324,7 @@ def test_census_below_and_above_the_default_cap(n):
 
 
 def test_capped_tally_still_reports_missing_algebras():
-    rows = _MaximalTally(4, CYCLIC, 4).rows()  # fed no algebra at all
+    rows = _census_rows(4, CYCLIC, 4, [])  # fed no algebra at all
     assert rows[-1].violations == (
         "n=4 r=2 cyclic: 0 maximal != 3 chains",
         "n=4 r=3 cyclic: 0 maximal != 1 chains",

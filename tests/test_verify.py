@@ -32,7 +32,7 @@ from nakayama.enumeration import _cyclic_with_first, _is_chain, _linear_series
 from nakayama.errors import InternalError, NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from nakayama.homology import _module_table, _quasi_hereditary, pd_simples
-from nakayama.verify import (SUITES, run_suites, _chain, _SUITES, _lazy, _Profile, _shards, _Sweep,
+from nakayama.verify import (SUITES, run_suites, _chain, _SUITES, _lazy, _Profile, _shards,
                              _sweep_shard, _SUITE_FUNCTIONS)
 
 from conftest import cyclic_series, enumerated_series
@@ -233,11 +233,13 @@ def test_maximal_builds_a_report_iff_maximal(kind):
 @pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
 def test_the_census_catches_a_gate_one_past_brown_bound(monkeypatch, kind):
     assert census(range(2, 7), kind).violations == []
-    off_by_one = _lazy(lambda p: p.report.is_maximal if "report" in p.__dict__ else (
-        _quasi_hereditary(p) and max(p.pds) > p.r + (p.kind == CYCLIC) and p.report.is_maximal))
-    off_by_one.__set_name__(_Profile, "maximal")
-    monkeypatch.setattr(_Profile, "maximal", off_by_one)
-    assert census(range(2, 7), kind).violations
+    one_more = lambda kind, lambda_one: lambda_one + (kind == CYCLIC) + 1
+    # the census gate's bound, the report's, and both: each is read from the one function
+    for modules in ((nakayama.verify,), (nakayama.homology,), (nakayama.verify, nakayama.homology)):
+        with monkeypatch.context() as patch:
+            for module in modules:
+                patch.setattr(module, "_brown_bound", one_more)
+            assert census(range(2, 7), kind).violations, modules
 
 
 def _with_a_gap(pds):
@@ -333,7 +335,6 @@ _PROFILE_FIELDS = ("is_selfinjective", "table", "pds", "report", "maximal", "pai
 def test_lazy_fields_read_on_the_class_are_their_descriptors():
     for name in _PROFILE_FIELDS:
         assert isinstance(getattr(_Profile, name), _lazy)
-    assert isinstance(_Sweep.results, _lazy)
 
 
 def test_each_profile_field_is_computed_once(monkeypatch):
@@ -351,18 +352,20 @@ def test_each_profile_field_is_computed_once(monkeypatch):
 
 
 def test_a_sweep_runs_once_however_often_it_is_read(monkeypatch):
-    calls = []
+    unpatched, calls = run_suites(SUITES, 4), []
 
     def counted(*task):
-        calls.append(task)
+        calls.append(task[1:])  # (n, kind, first entry)
         return _sweep_shard(*task)
 
     monkeypatch.setattr(nakayama.verify, "_sweep_shard", counted)
-    sweep = _Sweep(SUITES, 4)
-    assert calls == []  # nothing is swept until a suite reads it
-    first = [_SUITE_FUNCTIONS[name](4, None, sweep) for name in SUITES]
-    assert [_SUITE_FUNCTIONS[name](4, None, sweep) for name in SUITES] == first
-    assert len(calls) == len(_shards(4))
+    for name, suite in list(_SUITE_FUNCTIONS.items()):
+        monkeypatch.setitem(_SUITE_FUNCTIONS, name, lambda n, *rest, name=name, suite=suite:
+                            calls.append((name, n)) or suite(n, *rest))
+    assert run_suites(SUITES, 4) == unpatched
+    # each n's shards are swept once, inside its first suite call and not before it
+    assert calls == [event for n in range(2, 5) for event in (
+        (SUITES[0], n), *((n, *shard) for shard in _shards(n)), *((s, n) for s in SUITES[1:]))]
 
 
 def test_one_module_table_per_algebra_and_none_unread(monkeypatch):
@@ -459,7 +462,7 @@ def test_a_shard_swept_again_does_the_same_work(reductions):
     del reductions[:]
     again = _sweep_shard(SUITES, 6, CYCLIC, 5)
     assert len(reductions) == work  # nothing reduced before is remembered
-    assert once[0] == again[0] and vars(once[1]) == vars(again[1])
+    assert once == again
 
 
 def test_one_epsilon_per_swept_algebra_and_per_reduced_class_in_a_shard(reductions):
