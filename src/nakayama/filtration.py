@@ -175,14 +175,13 @@ def epsilon_tower(series: KupischSeries) -> EpsilonTower:
         raise NakayamaError(f"tower is defined for cyclic algebras, got {series.kind}")
     steps = []
     current = series
-    while True:
-        if current.is_selfinjective:
-            return EpsilonTower(tuple(steps), TERMINAL_SELFINJECTIVE)
+    while not current.is_selfinjective:
         step = epsilon(current)
         steps.append(step)
         if not step.is_cyclic:
             return EpsilonTower(tuple(steps), TERMINAL_LINEAR)
         current = step.algebra
+    return EpsilonTower(tuple(steps), TERMINAL_SELFINJECTIVE)
 
 
 def delta_filtration(

@@ -68,7 +68,7 @@ def projective_dimension(series: KupischSeries, m: UniserialModule, memo=None):
 
 def _pd_walk(c, top, length, memo):
     """The walk of ``projective_dimension`` from the valid module M(top, length), by the jump."""
-    n, path, on_path = len(c), [], set()
+    n, path = len(c), {}  # the states walked, in order: a revisit means INFINITE
     while True:
         ct = c[top - 1]
         if length == ct:
@@ -78,7 +78,7 @@ def _pd_walk(c, top, length, memo):
         if key in memo:
             base = memo[key]
             break
-        if key in on_path:
+        if key in path:
             base = INFINITE
             break
         new_top, d = (top - 1 + ct) % n + 1, c[(top - 1 + length) % n] - ct + length
@@ -88,8 +88,7 @@ def _pd_walk(c, top, length, memo):
         if d == 0:
             base = memo[key] = 1
             break
-        on_path.add(key)
-        path.append(key)
+        path[key] = None
         top, length = new_top, d
     for key in reversed(path):
         base = base + 2  # INFINITE + 2 == INFINITE

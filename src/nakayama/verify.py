@@ -235,7 +235,8 @@ _SUITES = {  # suite -> (its theorem, noun for the algebras it checks, predicate
     "brown": ("Brown's bound on quasi-hereditary algebras (lambda_1, +1 when cyclic).",
               "quasi-hereditary algebras", _brown),
     "generalized-inequality": (
-        "gldim <= a + lambda_c for every attained c, plus the linear sink bound.",
+        "The interval bound gldim <= a + lambda_c for every attained c, the sink bound"
+        " gldim <= n - 1 on a line and Gustafson's gldim <= 2n - 2 on a cycle of finite gldim.",
         "algebras", lambda p: check_inequalities(p, p.report)),
     "madsen": ("Odd-pd modules attain their pd on a composition factor.", "algebras", _madsen),
     "parity": ("Odd attainment and even interpolation of simple pd values.",

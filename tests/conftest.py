@@ -54,6 +54,14 @@ def series_with_module(draw, max_n=6, max_entry=9):
     return series, UniserialModule(top, length)
 
 
+def all_algebras(n_max, cap=None):
+    """Every enumerated algebra with n <= n_max: cyclic classes up to ``cap``, linear series."""
+    for n in range(1, n_max + 1):
+        yield from enumerate_cyclic(n, cap)
+        if n >= 2:
+            yield from enumerate_linear(n)
+
+
 def enumerated_series():
     """Every enumerated algebra on which the one-pass routes meet their oracles.
 

@@ -37,6 +37,7 @@ from nakayama.verify import (
     suite_sconnected_qh,
 )
 
+from conftest import all_algebras
 from oracles import oracle_pd, oracle_syzygy
 
 
@@ -101,13 +102,6 @@ def test_criterion_04_chain_count_identities():
     report_line(4, f"chain enumeration = binomial closed form on {checked} (n,r,kind) cells")
 
 
-def _everything(n_max, cap=None):
-    for n in range(1, n_max + 1):
-        yield from enumerate_cyclic(n, cap)
-        if n >= 2:
-            yield from enumerate_linear(n)
-
-
 def test_criterion_05_main_theorem_suite():
     checked = 0
     for n in range(2, 7):
@@ -138,7 +132,7 @@ def test_criterion_07_parity_and_madsen_suites():
 
 def test_criterion_08_chain_theorem_both_directions():
     checked = 0
-    for series in _everything(6):
+    for series in all_algebras(6):
         if series.kind == LINEAR:
             continue
         maximal = homology_report(series).is_maximal

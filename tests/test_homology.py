@@ -32,16 +32,10 @@ from nakayama.errors import InternalError
 from nakayama.homology import _module_table, _pd_walk, _quasi_hereditary, all_modules
 from nakayama.verify import _Profile
 
-from conftest import any_series, cyclic_series, enumerated_series, input_error, linear_series
+from conftest import (all_algebras, any_series, cyclic_series, enumerated_series, input_error,
+                      linear_series)
 from oracles import (module_vertices, oracle_module_table, oracle_pd, oracle_quasi_hereditary,
                      oracle_relations)
-
-
-def all_algebras(n_max, cap=None):
-    for n in range(1, n_max + 1):
-        yield from enumerate_cyclic(n, cap)
-        if n >= 2:
-            yield from enumerate_linear(n)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +75,19 @@ def test_pd_memoized_matches_fresh():
         reverse = [projective_dimension(series, m, {}) for m in reversed(modules)]
         assert shared == fresh == again
         assert list(reversed(reverse)) == fresh
+
+
+def test_every_walked_state_is_memoized_at_its_own_pd():
+    # the back-fill runs against the walk order, so each state on a path gets its own pd
+    walked = 0
+    for series in small_algebras():
+        memo = {}
+        for v in range(1, series.n + 1):
+            projective_dimension(series, UniserialModule(v, 1), memo)
+        for (top, length), pd in memo.items():
+            assert pd == oracle_pd(series, UniserialModule(top, length)), (series, top, length)
+        walked += len(memo)
+    assert walked
 
 
 @pytest.mark.parametrize("n", range(1, 6))

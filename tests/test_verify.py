@@ -48,6 +48,13 @@ def test_each_suite_is_a_documented_module_function(name):
     assert suite.__doc__
 
 
+def test_the_inequality_suite_states_every_bound_it_checks():
+    # check_inequalities reports the interval bound, the sink bound and Gustafson's bound;
+    # the statement in _SUITES is also the suite function's docstring
+    statement = _SUITES["generalized-inequality"][0]
+    assert all(bound in statement for bound in ("lambda_c", "n - 1", "2n - 2")), statement
+
+
 @pytest.mark.parametrize("name", SUITES)
 def test_each_suite_clean_on_small_range(name):
     detail, violations = _SUITE_FUNCTIONS[name](4)
