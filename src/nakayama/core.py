@@ -246,13 +246,13 @@ def relations_to_kupisch(system: RelationSystem) -> KupischSeries:
     away: c_v = c_{v+1} + 1.  A line's walk begins at the sink with
     c_n = 1; a cycle's goes once round, backwards from its last start.
     """
-    return KupischSeries(system.kind, _kupisch_c(system))
+    return KupischSeries(system.kind, _kupisch_c(system.kind, system.n, system.relations))
 
 
-def _kupisch_c(system: RelationSystem) -> tuple:
-    """The c of ``relations_to_kupisch``, not validated."""
-    n, length = system.n, {s: e - s + 1 for s, e in system.relations}
-    origin = system.relations[-1][0] if system.kind == CYCLIC else n
+def _kupisch_c(kind: str, n: int, relations) -> tuple:
+    """The c of ``relations_to_kupisch`` from a system's fields or bare sorted pairs, unvalidated."""
+    length = {s: e - s + 1 for s, e in relations}
+    origin = relations[-1][0] if kind == CYCLIC else n
     c, ahead = [0] * n, 0  # ahead: c of the vertex after v (0 past the sink)
     for step in range(n):
         v = (origin - 1 - step) % n + 1

@@ -15,7 +15,9 @@ syzygy filtrations of cyclic Nakayama algebras), which the ``epsilon``
 suite checks only below the cap, A has infinite gldim.  The census counts
 the algebras attaining Brown's bound through three independent routes; two
 are here: direct enumeration of chain systems, and closed-form binomials
-summing to Fibonacci numbers.  The third, the brute-force tally of
+summing to Fibonacci numbers.  The census reads the chain systems as the
+bare pair tuples of ``_chain_pairs``; ``enumerate_chains`` validates each as
+a ``ChainSystem``.  The third route, the brute-force tally of
 ``HomologyReport.is_maximal`` over the enumeration, is in ``nakayama.verify``.
 """
 
@@ -128,7 +130,8 @@ class ChainSystem(RelationSystem):
     """A chain-normalized relation system: on a cycle the first start is 1, every end at most n."""
 
     def to_kupisch(self) -> KupischSeries:
-        return KupischSeries(self.kind, _canonical_c(self.kind, _kupisch_c(self)))
+        c = _kupisch_c(self.kind, self.n, self.relations)
+        return KupischSeries(self.kind, _canonical_c(self.kind, c))
 
 
 def is_chain(system: RelationSystem) -> bool:
@@ -147,33 +150,44 @@ def is_chain(system: RelationSystem) -> bool:
 
 
 def _is_chain(kind: str, n: int, rel) -> bool:
-    """``is_chain`` on the sorted (start, end) pairs of an irredundant system."""
-    r, cyclic = len(rel), kind == CYCLIC
-    ring = [*rel, *((s + n, e + n) for s, e in rel)] if cyclic else rel
-    gaps = sum(e < s for (_, e), (s, _) in zip(ring[:r], ring[1:]))
-    return gaps == (1 if cyclic else 0) and all(
-        e < s for (_, e), (s, _) in zip(ring[:r], ring[2:]))
+    """``is_chain`` on the sorted (start, end) pairs of an irredundant system, in one pass
+    that returns at the first overlap two apart and at the first gap too many."""
+    cyclic = kind == CYCLIC  # the gaps allowed: one on a cycle, none on a line
+    ring = [*rel, *((s + n, e + n) for s, e in rel[:2])] if cyclic else rel
+    gaps, last = 0, len(ring) - 2  # a pair two apart exists for i < last
+    for i in range(len(rel) if cyclic else len(rel) - 1):
+        e = ring[i][1]
+        if e < ring[i + 1][0]:
+            if gaps == cyclic:
+                return False
+            gaps += 1
+        if i < last and e >= ring[i + 2][0]:
+            return False
+    return gaps == cyclic
 
 
 def enumerate_chains(n: int, r: int, kind: str):
-    """All chain systems with n vertices and r relations, normalized labels.
+    """All chain systems with n vertices and r relations, normalized labels, validated.
 
     The count equals ``count_closed_form(n, r, kind)``, which also checks the arguments.
     """
     count_closed_form(n, r, kind)
+    for pairs in _chain_pairs(n, r, kind):
+        yield ChainSystem(kind, n, pairs)
+
+
+def _chain_pairs(n: int, r: int, kind: str):
+    """The sorted (start, end) pair tuples of ``enumerate_chains``, in its order, bare."""
     stored = r if kind == CYCLIC else r - 1
     last_end = n if kind == CYCLIC else n - 1
 
     def extend(pairs):
         i = len(pairs)
         if i == stored:
-            yield ChainSystem(kind, n, pairs)
+            yield pairs
             return
-        if i == 0:
-            lo = hi = 1
-            if kind == LINEAR:
-                hi = last_end - 1
-            prev_end = 0
+        if i == 0:  # a cycle's first start is 1, a line's any start before its last arrow
+            lo, hi, prev_end = 1, 1 if kind == CYCLIC else last_end - 1, 0
         else:
             prev_start, prev_end = pairs[-1]
             # next start: after this one, not past its end (overlap/touch),

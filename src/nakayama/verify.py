@@ -23,8 +23,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cache, cached_property, partial
 
 from .core import CYCLIC, LINEAR, KupischSeries, _canonical_c, _kupisch_c, _relation_pairs
-from .enumeration import (_cyclic_cap, _cyclic_with_first, _is_chain, _linear_series,
-                          count_closed_form, enumerate_chains, fibonacci)
+from .enumeration import (_chain_pairs, _cyclic_cap, _cyclic_with_first, _is_chain,
+                          _linear_series, count_closed_form, fibonacci)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from .homology import (INFINITE, _brown_bound, _gldim, _module_table, _quasi_hereditary,
@@ -137,7 +137,8 @@ def _census_rows(n: int, kind: str, cap, tallies) -> list:
 
     A tally is a shard's (maximal count by r, set of maximal c, chain violations), read and
     never changed.  The last (total) row carries the chain violations, then the disagreements
-    with the chain systems, the closed forms and the Fibonacci number.  The count and the set
+    with the chain systems, the closed forms and the Fibonacci number.  The chain systems are
+    read as bare pairs, which ``enumerate_chains`` would validate.  The count and the set
     are compared with the chain forms whose entries fit the cyclic ``cap`` (linear series are
     never capped), and the Fibonacci total only when the cap is at least 2n - 1.
     """
@@ -150,7 +151,7 @@ def _census_rows(n: int, kind: str, cap, tallies) -> list:
     rows, chain_set = [], set()
     for r in range(1, n):
         expected = count_closed_form(n, r, kind)
-        chains_r = [_canonical_c(kind, _kupisch_c(ch)) for ch in enumerate_chains(n, r, kind)]
+        chains_r = [_canonical_c(kind, _kupisch_c(kind, n, p)) for p in _chain_pairs(n, r, kind)]
         if len(chains_r) != expected:
             violations.append(
                 f"n={n} r={r} {kind}: {len(chains_r)} chains != closed form {expected}")

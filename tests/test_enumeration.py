@@ -11,6 +11,7 @@ from nakayama import (
     CYCLIC,
     INFINITE,
     LINEAR,
+    ChainSystem,
     KupischSeries,
     RelationSystem,
     canonical_form,
@@ -27,6 +28,7 @@ from nakayama import (
     relations_to_kupisch,
 )
 from nakayama.core import _canonical_c, _kupisch_c
+from nakayama.enumeration import _chain_pairs, _is_chain
 from nakayama.verify import _census_rows
 from nakayama.errors import NakayamaError
 
@@ -108,6 +110,18 @@ def test_is_chain_examples():
     assert not is_chain(RelationSystem(CYCLIC, 3, ((1, 4),)))  # length n + 1
     assert not is_chain(RelationSystem(CYCLIC, 4, ((1, 3), (3, 5))))  # no gap around the cycle
     assert is_chain(RelationSystem(LINEAR, 5, ((1, 2), (2, 3), (3, 4))))
+    # where the one pass returns early or runs out of pairs: a cycle with r = 1 (no pair two
+    # apart) and r = 2 (each relation is two apart from its own shift), a cycle whose second
+    # gap is its last pair, a line with one stored pair, and a cycle whose only overlap two
+    # apart is across the wrap
+    assert is_chain(RelationSystem(CYCLIC, 4, ((2, 3),)))
+    assert not is_chain(RelationSystem(CYCLIC, 1, ((1, 2),)))
+    assert is_chain(RelationSystem(CYCLIC, 5, ((2, 4), (4, 6))))
+    assert not is_chain(RelationSystem(CYCLIC, 2, ((1, 3), (2, 4))))
+    assert not is_chain(RelationSystem(CYCLIC, 6, ((1, 2), (4, 5))))
+    assert not is_chain(RelationSystem(CYCLIC, 7, ((1, 2), (2, 3), (5, 6))))
+    assert is_chain(RelationSystem(LINEAR, 4, ((1, 2),)))
+    assert not is_chain(RelationSystem(CYCLIC, 6, ((1, 3), (4, 7), (5, 8))))
 
 
 def test_is_chain_matches_rotation_oracle_on_enumerations():
@@ -185,8 +199,21 @@ def test_the_census_reads_each_chain_as_its_canonical_series():
         for n in range(2, 8):
             for r in range(1, n):
                 for ch in enumerate_chains(n, r, kind):
-                    expected = canonical_form(relations_to_kupisch(ch)).c
-                    assert _canonical_c(kind, _kupisch_c(ch)) == ch.to_kupisch().c == expected
+                    c = _canonical_c(kind, _kupisch_c(kind, n, ch.relations))
+                    assert c == ch.to_kupisch().c == canonical_form(relations_to_kupisch(ch)).c
+
+
+def test_the_census_reads_the_chain_systems_bare():
+    # the census reads _chain_pairs unvalidated: at every (n, r, kind) it reaches (cyclic
+    # n <= 8, linear n <= 10) each pair tuple is a valid chain system's relations, unchanged by
+    # validation and a chain, and the tuples are enumerate_chains' relations in its order
+    for kind, n_max in ((CYCLIC, 8), (LINEAR, 10)):
+        for n in range(2, n_max + 1):
+            for r in range(1, n):
+                bare = list(_chain_pairs(n, r, kind))
+                assert [ChainSystem(kind, n, pairs).relations for pairs in bare] == bare
+                assert [ch.relations for ch in enumerate_chains(n, r, kind)] == bare
+                assert all(_is_chain(kind, n, pairs) for pairs in bare)
 
 
 def test_chain_systems_satisfy_their_own_predicate():
