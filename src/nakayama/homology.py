@@ -22,15 +22,16 @@ the sink (t + c_t = n + 1) forces d = 0: each non-projective M(t, l) has pd 1.
 The start-row rule: if v starts no relation, c_v = c_{v+1} + 1 and Omega M(v, l) =
 M(v + l, c_v - l) = Omega M(v + 1, l - 1), so pd S_v = 1 (Omega S_v = P_{v+1}) and
 pd M(v, l) = pd M(v + 1, l - 1) for l >= 2.  Only the starts, the v with 2 <= c_v <= c_{v+1},
-need the jump; on a line none reaches the sink, whose row [0] is seeded from c_t = 1.
+need the jump, and there the step rule gives d = c_{v+l} - c_v + l >= c_{v+1} - c_v + 1 >= 1;
+on a line none reaches the sink, whose row [0] is seeded from c_t = 1.
 
 The fixpoint fill.  Every cycle of the row graph (t -> t + 1 at a non-start, t -> t + c_t
 at a start) holds a relation start, as c falls along non-starts.  So one turn round a cycle
-takes each pd of its row t to a constant (0 at a projective; 1 at d = 0, or at length 1 on
-a non-start) or to a pd of row t plus at least 2; a finite pd is not itself plus 2, so row t
-has one fixpoint.  Seeded with INFINITE, each entry of row t is final or INFINITE after every
-pass; a pass that changes row t makes an entry final and one that does not is at the
-fixpoint, so c_t passes suffice.  Only then are the cycle's other rows final as well.
+takes each pd of its row t to a constant (0 at a projective, 1 at length 1 on a non-start)
+or to a pd of row t plus at least 2; a finite pd is not itself plus 2, so row t has one
+fixpoint.  Seeded with INFINITE, each entry of row t is final or INFINITE after every pass;
+a pass that changes row t makes an entry final and one that does not is at the fixpoint,
+so c_t passes suffice.  Only then are the cycle's other rows final as well.
 
 A series is read here only through its ``kind``, ``c``, ``n`` and label: the verify sweep
 hands in its profile of (kind, c) where a ``KupischSeries`` is asked for.
@@ -120,7 +121,8 @@ def _brown_bound(kind: str, lambda_one: int) -> int:
 
 def _quasi_hereditary(series) -> bool:
     """The report's criterion from c: pd S_n = 0 (c_n = 1; the jump test, read mod n, holds there
-    too) or pd S_v = 2, as Omega^2 S_v = M(v + c_v, c_{v+1} - c_v + 1) is projective."""
+    too) or pd S_v = 2, as Omega^2 S_v = M(v + c_v, c_{v+1} - c_v + 1) is projective.  The c_n = 1
+    clause is kept as a fast path: it decides every line without the scan over v."""
     c, n = series.c, series.n
     return c[-1] == 1 or any(c[(v + 1) % n] - c[v] + 1 == c[(v + c[v]) % n] for v in range(n))
 
@@ -130,7 +132,9 @@ def _module_table(series: KupischSeries) -> list:
 
     Row t is [1] + row t + 1 unless t starts a relation; then it is read from row t + c_t by
     the jump.  Each path of this row graph is filled in reverse, a cycle it closes by the
-    fixpoint fill of the module docstring; the step rule is checked first.
+    fixpoint fill of the module docstring; the step rule is checked first.  The seed [0] of a
+    line's sink keeps the line's row graph acyclic: unseeded, the sink (c_n = 1 <= c_1) reads as
+    a start whose jump wraps to row 1, so every line would close a cycle and take the fixpoint fill.
     """
     c, n = series.c, series.n
     for v in range(n):  # on a line the wrap step reads c_1 >= c_n - 1 = 0
@@ -144,8 +148,8 @@ def _module_table(series: KupischSeries) -> list:
                 table[t] = [1] + table[u]
             else:
                 after = table[(t + ct) % n]
-                table[t] = [1 if (d := c[(t + length) % n] - ct + length) == 0
-                            else 2 + after[d - 1] for length in range(1, ct)] + [0]
+                table[t] = [2 + after[c[(t + length) % n] - ct + length - 1]
+                            for length in range(1, ct)] + [0]
 
     table = [[0] if ct == 1 else None for ct in c]  # a line's sink: P_n = S_n
     for start in range(n):
@@ -183,15 +187,18 @@ def all_modules(series: KupischSeries):
 class HomologyReport:
     """Homological classification of one algebra.
 
-    ``o_set`` collects the finite pd values of simples; ``lam`` maps each
-    c in o_set to the number of simples with pd different from c (asking
-    for other c is a KeyError by design).  ``s_connected`` is True/False
-    when the global dimension is finite and None when it is infinite, where
-    the notion is undefined.  ``brown_slack`` is a_min + min(lam) - gldim,
-    the slack in the sharpest interval bound; nonnegative whenever
-    ``s_connected`` is True.  ``quasi_hereditary`` is a criterion, not the
-    definition: some simple has pd 0 or pd 2, read from the pds here and from c by
-    ``_quasi_hereditary``.  Tests check both against a heredity chain for n <= 6.
+    ``o_set`` collects the finite pd values of simples, sorted; ``lam`` maps each c in o_set to
+    the number of simples with pd different from c (asking for other c is a KeyError by design).
+    ``s_connected`` is True/False when the global dimension is finite and None when it is
+    infinite, where the notion is undefined.  ``brown_slack`` is a_min + min(lam) - gldim, the
+    slack in the sharpest interval bound; nonnegative whenever ``s_connected`` is True.
+
+    ``quasi_hereditary`` is a criterion, not the definition: some simple has pd 0 or pd 2, read
+    from the pds here and from c by ``_quasi_hereditary``.  Tests check both against a heredity
+    chain for n <= 6.  S-connected implies it: a cyclic algebra that is not selfinjective has a
+    simple of pd 1 (at a v with c_v > c_{v+1}), and a relation start v has pd >= 2, as Omega S_v
+    = M(v + 1, c_v - 1) is shorter than P_{v+1}; so a cyclic S-connected algebra, whose pds form
+    an interval, has 2 among its simple pds.  A line meets the criterion through pd S_n = 0.
     """
 
     kind: str
@@ -302,16 +309,13 @@ def check_parity_interpolation(series: KupischSeries, report=None) -> list[str]:
     Between any two attained even pds every intermediate even value must be
     attained as well.  ``report`` as in ``check_inequalities``.
     """
-    pds = (report or homology_report(series)).pd_simple
-    if INFINITE in pds:
+    report = report or homology_report(series)
+    gldim, attained = report.gldim, report.o_set  # o_set: the sorted, distinct finite pds
+    if gldim == INFINITE:
         raise NakayamaError(f"{series} has infinite global dimension")
-    gldim = max(pds)
-    attained = set(pds)
-    violations = []
-    for odd in range(1, gldim + 1, 2):
-        if odd not in attained:
-            violations.append(f"{series}: odd value {odd} <= gldim {gldim} not attained")
-    evens = sorted(p for p in attained if p % 2 == 0)
+    violations = [f"{series}: odd value {odd} <= gldim {gldim} not attained"
+                  for odd in range(1, gldim + 1, 2) if odd not in attained]
+    evens = [p for p in attained if p % 2 == 0]
     if evens:
         for t in range(evens[0], evens[-1] + 1, 2):
             if t not in attained:

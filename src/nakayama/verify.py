@@ -57,7 +57,6 @@ class _Profile:
 
     It reads as a series (``kind``, ``c``, ``n``, ``is_selfinjective``, its label), so the
     functions of ``homology`` and ``filtration`` take it in place of a ``KupischSeries``.
-    Its simples' ``pds`` are the table's first column when madsen builds it, else ``pd_simples``.
     """
 
     def __init__(self, kind, c, tabled=False, reduced=None):
@@ -78,11 +77,15 @@ class _Profile:
     pairs = _lazy(lambda self: _relation_pairs(self.c))
     r = _lazy(lambda self: len(self.pairs) + (self.kind == LINEAR))  # RelationSystem.r
     chain = _lazy(lambda self: _is_chain(self.kind, self.n, self.pairs))
-    chain_violations = _lazy(lambda self: _chain(self))  # the chain suite's, and the census tally's
     step = _lazy(lambda self: _reduce(self))  # the first reduction's (kind, c) components
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.is_selfinjective else
         self.of(self.step[0]).terminal if self.step[0][0] == CYCLIC else TERMINAL_LINEAR))
+
+    @_lazy
+    def chain_violations(self) -> list:  # the chain suite's, and the census tally's
+        maximal, chain = self.maximal, self.chain
+        return [] if maximal == chain else [f"{self}: maximal={maximal} but chain={chain}"]
 
     def of(self, component) -> "_Profile":
         """The shard's one profile of the reduced algebra ``component``, a (kind, c)."""
@@ -198,17 +201,6 @@ def _madsen(profile):
     return [f"{profile}: fails at {m}" for m in check_madsen(profile, profile.table)]
 
 
-def _parity(profile):
-    if profile.report.gldim == INFINITE:
-        return None
-    return check_parity_interpolation(profile, profile.report)
-
-
-def _chain(profile):
-    maximal, chain = profile.maximal, profile.chain
-    return [] if maximal == chain else [f"{profile}: maximal={maximal} but chain={chain}"]
-
-
 def _epsilon(profile):
     if profile.kind != CYCLIC or profile.is_selfinjective:
         return None
@@ -221,7 +213,7 @@ def _epsilon(profile):
         violations.append(f"{profile}: reduced algebra has {vertices}"
                           f" vertices, expected the relation count")
     if finite:
-        reduced_gldim = max(profile.of(component).report.gldim for component in step)
+        reduced_gldim = max(_gldim(p, p.pds) for p in map(profile.of, step))
         if reduced_gldim + 2 != report.gldim:
             violations.append(f"{profile}: gldim {report.gldim} but reduced gldim {reduced_gldim}")
     if (step[0][0] == CYCLIC) == report.quasi_hereditary:
@@ -241,7 +233,8 @@ _SUITES = {  # suite -> (its theorem, noun for the algebras it checks, predicate
         "algebras", lambda p: check_inequalities(p, p.report)),
     "madsen": ("Odd-pd modules attain their pd on a composition factor.", "algebras", _madsen),
     "parity": ("Odd attainment and even interpolation of simple pd values.",
-               "finite-gldim algebras", _parity),
+               "finite-gldim algebras", lambda p: None if p.report.gldim == INFINITE
+               else check_parity_interpolation(p, p.report)),
     "chain": ("Maximal global dimension iff the defining relations form a chain.",
               "algebras", lambda p: p.chain_violations),
     "fibonacci": ("Census counts match the Fibonacci values, all three routes agreeing.",

@@ -113,6 +113,17 @@ def test_enumerate_json(capsys):
     assert payload["kind"] == "cyclic"
 
 
+def test_enumerate_json_lists_the_kept_series(capsys):
+    from nakayama import enumerate_cyclic, homology_report
+
+    code, out, _ = run(capsys, "enumerate", "-n", "4", "--cyclic", "--filter", "qh",
+                       "--format", "json", "--list")
+    kept = [list(s.c) for s in enumerate_cyclic(4) if homology_report(s).quasi_hereditary]
+    assert code == 0 and 0 < len(kept)
+    assert json.loads(out) == {"count": len(kept), "filter": "qh", "kind": "cyclic", "n": 4,
+                               "series": kept}
+
+
 def test_enumerate_bad_n_exits_1(capsys):
     assert run(capsys, "enumerate", "-n", "1", "--cyclic")[0] == 1
 
@@ -237,6 +248,14 @@ def test_convert_redundant_exits_1(capsys):
     code, _, err = run(capsys, "convert", "--relations", "1:3;2:3", "-n", "4", "--cyclic")
     assert code == 1
     assert "contains" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--n-max", "1"), "--n-max must be at least 2, got 1"),
+    (("convert", "--relations", "1:2", "--cyclic"), "--relations needs the vertex count -n"),
+])
+def test_each_usage_error_exits_1_with_its_message(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_convert_requires_exactly_one_input(capsys):

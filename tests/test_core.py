@@ -259,6 +259,25 @@ def test_relation_system_rejects():
         RelationSystem(CYCLIC, 3, ())
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: KupischSeries(CYCLIC, ()), "empty series", id="empty-series"),
+    pytest.param(lambda: RelationSystem(LINEAR, 0, ()), "vertex count must be positive, got 0",
+                 id="no-vertices"),
+    pytest.param(lambda: RelationSystem(CYCLIC, 4, ((1, 4), (1, 3))),
+                 "repeated relation starts in ((1, 3), (1, 4))", id="repeated-start"),
+    pytest.param(lambda: RelationSystem(CYCLIC, 3, ((4, 6),)), "start 4 out of range 1..3",
+                 id="start-above-n"),
+    pytest.param(lambda: RelationSystem(LINEAR, 3, ((0, 2),)), "start 0 out of range 1..3",
+                 id="start-below-1"),
+    *(pytest.param(lambda text=text: parse_relations(text, CYCLIC, 4),
+                   f"cannot parse relation {text!r}; expected start:end", id=f"chunk-{text}")
+      for text in ("1-3", "1:2:3", "x:3")),
+])
+def test_each_construction_error_words_its_message(build, message):
+    with input_error(message):
+        build()
+
+
 def _accepted(kind, n, relations) -> bool:
     """Does the constructor accept the system?  It is valid apart from containment."""
     try:

@@ -32,6 +32,7 @@ from nakayama.enumeration import _chain_pairs, _is_chain
 from nakayama.verify import _census_rows
 from nakayama.errors import NakayamaError
 
+from conftest import input_error
 from oracles import brute_force_cyclic, burnside_cyclic_classes, oracle_is_chain
 
 
@@ -50,6 +51,13 @@ def test_enumerate_linear_examples():
 def test_enumerate_linear_catalan_counts():
     for n in range(2, 9):
         assert sum(1 for _ in enumerate_linear(n)) == math.comb(2 * (n - 1), n - 1) // n
+
+
+def test_enumerations_reject_too_few_vertices():
+    with input_error("need n >= 2, got 1"):
+        list(enumerate_linear(1))  # a generator: it checks on the first next()
+    with input_error("need n >= 1, got 0"):
+        list(enumerate_cyclic(0))
 
 
 def test_enumerate_cyclic_examples():

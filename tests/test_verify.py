@@ -32,8 +32,8 @@ from nakayama.enumeration import _cyclic_with_first, _is_chain, _linear_series
 from nakayama.errors import InternalError, NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from nakayama.homology import _module_table, _quasi_hereditary, pd_simples
-from nakayama.verify import (SUITES, run_suites, _chain, _SUITES, _lazy, _Profile, _shards,
-                             _sweep_shard, _SUITE_FUNCTIONS)
+from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _sweep_shard,
+                             _SUITE_FUNCTIONS)
 
 from conftest import cyclic_series, enumerated_series
 from oracles import oracle_is_chain, oracle_relations
@@ -271,20 +271,31 @@ def test_the_census_checks_lines_it_builds_no_report_for(monkeypatch):
         census([5], LINEAR)
 
 
+def _swept(n_max):
+    """The (kind, c) of every algebra that a sweep up to n_max checks."""
+    return [(s.kind, s.c) for n in range(2, n_max + 1)
+            for s in (*enumerate_cyclic(n), *enumerate_linear(n))]
+
+
 def test_the_chain_predicate_runs_once_per_algebra(monkeypatch):
+    calls, compute = [], _Profile.chain_violations.func
+    counted = _lazy(lambda p: calls.append((p.kind, p.c)) or compute(p))
+    counted.__set_name__(_Profile, "chain_violations")
+    monkeypatch.setattr(_Profile, "chain_violations", counted)
+    run_suites(SUITES, 6)  # chain and fibonacci both read it
+    assert sorted(calls) == sorted(_swept(6)) and len(calls) == len(set(calls))
+
+
+def test_one_report_per_swept_algebra_and_none_for_a_reduced_one(monkeypatch):
     calls = []
 
-    def counted(profile):
-        calls.append((profile.kind, profile.c))
-        return _chain(profile)
+    def counted(series, pds=None):
+        calls.append((series.kind, series.c))
+        return homology_report(series, pds)
 
-    monkeypatch.setattr(nakayama.verify, "_chain", counted)  # and wherever a suite holds it:
-    monkeypatch.setitem(_SUITES, "chain", tuple(counted if f is _chain else f
-                                                for f in _SUITES["chain"]))
-    run_suites(SUITES, 6)  # chain and fibonacci both read it
-    swept = [(s.kind, s.c) for n in range(2, 7)
-             for s in (*enumerate_cyclic(n), *enumerate_linear(n))]
-    assert sorted(calls) == sorted(swept) and len(calls) == len(set(calls))
+    monkeypatch.setattr(nakayama.verify, "homology_report", counted)
+    run_suites(SUITES, 6)  # epsilon reads the gldim of every reduced algebra
+    assert sorted(calls) == sorted(_swept(6)) and len(calls) == len(set(calls))
 
 
 def test_maximal_reads_a_built_report(monkeypatch):
@@ -567,7 +578,8 @@ def test_a_sweep_builds_no_kupisch_series(monkeypatch):
         "[3,2,1]: gldim 3 > 0 + lambda_1 = 1",
         "[3,2,1]: gldim 3 > n - 1 = 2",  # and no Brown line: that bound is brown's alone
     ]),
-    ("parity", validate(LINEAR, (2, 2, 2, 1)), {"pd_simple": (0, 4, 1, 0)}, [
+    ("parity", validate(LINEAR, (2, 2, 2, 1)),
+     {"pd_simple": (0, 4, 1, 0), "gldim": 4, "o_set": (0, 1, 4)}, [
         "[2,2,2,1]: odd value 3 <= gldim 4 not attained",
         "[2,2,2,1]: even value 2 not interpolated",
     ]),
