@@ -189,8 +189,6 @@ def cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    if args.n_max < 2:
-        raise NakayamaError(f"--n-max must be at least 2, got {args.n_max}")
     names = list(SUITES) if args.theorems == "all" else [
         t.strip() for t in args.theorems.split(",") if t.strip()]
     results = run_suites(names, args.n_max, cap=args.cap, jobs=args.jobs)

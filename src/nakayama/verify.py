@@ -76,7 +76,6 @@ class _Profile:
         and self.report.is_maximal))
     pairs = _lazy(lambda self: _relation_pairs(self.c))
     r = _lazy(lambda self: len(self.pairs) + (self.kind == LINEAR))  # RelationSystem.r
-    chain = _lazy(lambda self: _is_chain(self.kind, self.n, self.pairs))
     step = _lazy(lambda self: _reduce(self))  # the first reduction's (kind, c) components
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.is_selfinjective else
@@ -84,7 +83,7 @@ class _Profile:
 
     @_lazy
     def chain_violations(self) -> list:  # the chain suite's, and the census tally's
-        maximal, chain = self.maximal, self.chain
+        maximal, chain = self.maximal, _is_chain(self.kind, self.n, self.pairs)
         return [] if maximal == chain else [f"{self}: maximal={maximal} but chain={chain}"]
 
     def of(self, component) -> "_Profile":
@@ -138,19 +137,19 @@ class CensusTable:
 def _census_rows(n: int, kind: str, cap, tallies) -> list:
     """The census rows of n and ``kind`` from its shards' tallies, in enumeration order.
 
-    A tally is a shard's (maximal count by r, set of maximal c, chain violations), read and
-    never changed.  The last (total) row carries the chain violations, then the disagreements
-    with the chain systems, the closed forms and the Fibonacci number.  The chain systems are
-    read as bare pairs, which ``enumerate_chains`` would validate.  The count and the set
-    are compared with the chain forms whose entries fit the cyclic ``cap`` (linear series are
-    never capped), and the Fibonacci total only when the cap is at least 2n - 1.
+    A tally is a shard's ({maximal c: its r}, chain violations), read and never changed; the
+    merged map gives the counts by r, the total and the set of maximal c.  The last row (the
+    total) carries the chain violations, then the disagreements with the chain systems (read
+    as bare pairs, which ``enumerate_chains`` would validate), the closed forms and the
+    Fibonacci number.  The counts and the set are compared with the chain forms whose entries
+    fit the cyclic ``cap`` (linear series are never capped), the total only at cap >= 2n - 1.
     """
     cap = _cyclic_cap(n, cap if kind == CYCLIC else None)
-    by_r, classes, violations = Counter(), set(), []
-    for shard_by_r, shard_classes, shard_violations in tallies:
-        by_r.update(shard_by_r)
-        classes |= shard_classes
+    maximal, violations = {}, []
+    for shard_maximal, shard_violations in tallies:
+        maximal.update(shard_maximal)
         violations += shard_violations
+    by_r = Counter(maximal.values())
     rows, chain_set = [], set()
     for r in range(1, n):
         expected = count_closed_form(n, r, kind)
@@ -163,10 +162,10 @@ def _census_rows(n: int, kind: str, cap, tallies) -> list:
         if by_r[r] != len(chains_r):
             violations.append(f"n={n} r={r} {kind}: {by_r[r]} maximal != {len(chains_r)} chains")
         rows.append(CensusRow(n, kind, r, by_r[r], expected, None))
-    if chain_set != classes:
+    if chain_set != maximal.keys():
         violations.append(
-            f"n={n} {kind}: chain/maximal sets differ at {sorted(chain_set ^ classes)}")
-    total = sum(by_r.values())
+            f"n={n} {kind}: chain/maximal sets differ at {sorted(chain_set ^ maximal.keys())}")
+    total = len(maximal)
     fib = fibonacci(2 * n - 2 if kind == CYCLIC else 2 * n - 3)
     if total != fib and cap >= 2 * n - 1:
         violations.append(f"n={n} {kind}: total {total} != Fibonacci {fib}")
@@ -248,7 +247,7 @@ def _sweep_shard(names, n: int, kind: str, first: int):
     """One shard's raw results: {suite: [algebras checked, violations]} and its census tally."""
     checks = {name: _SUITES[name][2] for name in names if _SUITES[name][2]}
     found = {name: [0, []] for name in checks}
-    counting, by_r, classes, chain_violations = "fibonacci" in names, Counter(), set(), []
+    counting, maximal, chain_violations = "fibonacci" in names, {}, []
     tabled, reduced = "madsen" in checks, {}
     for c in _cyclic_with_first(n, first) if kind == CYCLIC else _linear_series(n):
         profile = _Profile(kind, c, tabled, reduced)
@@ -260,10 +259,9 @@ def _sweep_shard(names, n: int, kind: str, first: int):
         if counting:
             chain_violations += profile.chain_violations
             if profile.maximal:
-                by_r[profile.r] += 1
-                classes.add(c)
+                maximal[c] = profile.r
     reduced.clear()  # the memo is this shard's alone; its profiles refer to it, so free them now
-    return found, (by_r, classes, chain_violations)
+    return found, (maximal, chain_violations)
 
 
 def _results(names, n: int, cap=None, shards=None) -> dict:
@@ -339,6 +337,8 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     kind, first entry) in enumeration order and calls each suite once per n,
     so the output is identical for any ``jobs``.
     """
+    if n_max < 2:
+        raise NakayamaError(f"n_max must be at least 2, got {n_max}")
     names = list(dict.fromkeys(names))
     if not names:
         raise NakayamaError("no theorems selected")

@@ -251,7 +251,7 @@ def test_convert_redundant_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("verify", "--n-max", "1"), "--n-max must be at least 2, got 1"),
+    (("verify", "--n-max", "1"), "n_max must be at least 2, got 1"),
     (("convert", "--relations", "1:2", "--cyclic"), "--relations needs the vertex count -n"),
 ])
 def test_each_usage_error_exits_1_with_its_message(capsys, argv, message):

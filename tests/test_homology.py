@@ -111,6 +111,14 @@ def small_algebras():
     return tuple(s for s in enumerated_series() if s.n <= 6)
 
 
+def test_all_modules_lists_every_top_and_length_in_order():
+    # M(t, l) for 1 <= l <= c_t, the projective M(t, c_t) included
+    for series in small_algebras():
+        grid = [UniserialModule(t, l) for t in range(1, series.n + 1)
+                for l in range(1, series.c[t - 1] + 1)]
+        assert list(all_modules(series)) == grid, series
+
+
 def test_module_table_matches_the_single_step_walk():
     for series in small_algebras():
         assert _module_table(series) == oracle_module_table(series), series

@@ -88,6 +88,13 @@ def test_run_suites_rejects_an_empty_list_and_jobs_below_one():
         run_suites(["chain"], 3, jobs=0)
 
 
+def test_run_suites_rejects_n_max_below_two_before_the_names():
+    # below n = 2 there is no algebra to sweep, which would read as a clean pass
+    for names in (SUITES, [], ["bogus"]):
+        with pytest.raises(NakayamaError, match="n_max must be at least 2, got 1"):
+            run_suites(names, 1)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_shards_concatenate_to_the_enumeration(n):
     for cap in (None, 1, 2, 3, n, 2 * n + 2):
@@ -346,7 +353,7 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert census([3], CYCLIC).violations.count(text) == 1
 
 
-_PROFILE_FIELDS = ("is_selfinjective", "table", "pds", "report", "maximal", "pairs", "r", "chain",
+_PROFILE_FIELDS = ("is_selfinjective", "table", "pds", "report", "maximal", "pairs", "r",
                    "chain_violations", "step", "terminal")
 
 
@@ -506,7 +513,8 @@ def test_sweep_relations_are_valid_by_construction():
         assert pairs == oracle_relations(series) == kupisch_to_relations(series).relations
         system = RelationSystem(series.kind, series.n, pairs)  # validates
         assert profile.r == system.r, series
-        assert profile.chain == is_chain(system) == oracle_is_chain(system), series
+        chain = _is_chain(series.kind, series.n, profile.pairs)
+        assert chain == is_chain(system) == oracle_is_chain(system), series
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -598,6 +606,12 @@ def test_madsen_words_its_violation():
     profile = _Profile(LINEAR, (3, 2, 1))
     profile.table[0][1] = 5  # pd M(1,2) = 5, above its factors' pds
     assert _SUITES["madsen"][2](profile) == ["[3,2,1]: fails at M(1,2)"]
+
+
+def test_madsen_words_a_violation_below_its_factors():
+    profile = _Profile(LINEAR, (3, 2, 2, 1))  # pd S_1 = 1, pd S_2 = 2
+    profile.table[0][1] = 1  # pd M(1,2) = 1, below the largest of its factors' pds
+    assert _SUITES["madsen"][2](profile) == ["[3,2,2,1]: fails at M(1,2)"]
 
 
 def test_epsilon_words_a_reduction_of_the_wrong_size():
