@@ -27,6 +27,8 @@ def main() -> int:
                              " checked against the chain forms that fit it, not Fibonacci")
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args()
+    if args.n_max < 2:  # no algebra to count, which would read as a clean table
+        parser.error(f"--n-max must be at least 2, got {args.n_max}")
 
     chunks = []
     for kind, top in ((CYCLIC, args.n_max), (LINEAR, min(args.n_max + 3, 10))):

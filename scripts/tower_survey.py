@@ -28,6 +28,8 @@ def main() -> int:
                         help="cyclic entry cap (default 2n-1); a higher cap adds only classes of"
                              " infinite global dimension, whose towers end selfinjective")
     args = parser.parse_args()
+    if args.n_max < 1:  # no algebra to survey, which would read as a clean survey
+        parser.error(f"--n-max must be at least 1, got {args.n_max}")
 
     status = 0
     for n in range(1, args.n_max + 1):

@@ -152,7 +152,12 @@ class EpsilonTower:
     """
 
     steps: tuple[EpsilonStep, ...]
-    terminal: str
+
+    @property
+    def terminal(self) -> str:
+        """Linear exactly when the last step split; no step means a selfinjective input."""
+        split = self.steps and not self.steps[-1].is_cyclic
+        return TERMINAL_LINEAR if split else TERMINAL_SELFINJECTIVE
 
     @property
     def depth(self) -> int:
@@ -173,15 +178,11 @@ def epsilon_tower(series: KupischSeries) -> EpsilonTower:
     """Apply the reduction until reaching a selfinjective or acyclic algebra."""
     if series.kind != CYCLIC:
         raise NakayamaError(f"tower is defined for cyclic algebras, got {series.kind}")
-    steps = []
-    current = series
-    while not current.is_selfinjective:
-        step = epsilon(current)
-        steps.append(step)
-        if not step.is_cyclic:
-            return EpsilonTower(tuple(steps), TERMINAL_LINEAR)
-        current = step.algebra
-    return EpsilonTower(tuple(steps), TERMINAL_SELFINJECTIVE)
+    steps, current = [], series
+    while current is not None and not current.is_selfinjective:
+        steps.append(epsilon(current))
+        current = steps[-1].algebra if steps[-1].is_cyclic else None
+    return EpsilonTower(tuple(steps))
 
 
 def delta_filtration(

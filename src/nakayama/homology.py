@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 from .core import (
@@ -54,6 +55,16 @@ from .core import (
 from .errors import InternalError, NakayamaError
 
 INFINITE = math.inf
+
+
+class _lazy(cached_property):
+    """A ``cached_property`` without the lock that it takes before Python 3.12."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def projective_dimension(series: KupischSeries, m: UniserialModule, memo=None):
@@ -185,13 +196,11 @@ def all_modules(series: KupischSeries):
 
 @dataclass(frozen=True)
 class HomologyReport:
-    """Homological classification of one algebra.
+    """Homological classification of one algebra, read off the pds of its simples.
 
-    ``o_set`` collects the finite pd values of simples, sorted; ``lam`` maps each c in o_set to
-    the number of simples with pd different from c (asking for other c is a KeyError by design).
-    ``s_connected`` is True/False when the global dimension is finite and None when it is
-    infinite, where the notion is undefined.  ``brown_slack`` is a_min + min(lam) - gldim, the
-    slack in the sharpest interval bound; nonnegative whenever ``s_connected`` is True.
+    ``kind``, ``c`` and ``pd_simple`` are the inputs.  ``gldim``, the largest pd, is computed
+    with them, so that ``_gldim``'s check of a line fires when the report is built.  Every other
+    field is derived from these four on first read, and each is described at its line below.
 
     ``quasi_hereditary`` is a criterion, not the definition: some simple has pd 0 or pd 2, read
     from the pds here and from c by ``_quasi_hereditary``.  Tests check both against a heredity
@@ -205,12 +214,21 @@ class HomologyReport:
     c: tuple[int, ...]
     pd_simple: tuple
     gldim: "int | float"
-    o_set: tuple[int, ...]
-    a_min: "int | None"
-    lam: "dict[int, int]"
-    s_connected: "bool | None"
-    quasi_hereditary: bool
-    brown_slack: "int | None"
+
+    # each finite pd c -> the number of simples with pd != c (other c: a KeyError by design);
+    # each count is a run of the sorted pds, so n distinct pds cost one sort, not n scans
+    lam = _lazy(lambda self: {cc: len(self.pd_simple) - len(list(run))
+                              for cc, run in groupby(sorted(self.pd_simple)) if cc != INFINITE})
+    o_set = _lazy(lambda self: tuple(self.lam))  # the finite pds, sorted and distinct
+    a_min = _lazy(lambda self: self.o_set[0] if self.o_set else None)  # the least finite pd
+    # whether the pds form an interval; None at infinite gldim, where it is undefined
+    s_connected = _lazy(lambda self: None if self.gldim == INFINITE else (
+        len(self.o_set) == self.gldim - self.a_min + 1))
+    quasi_hereditary = _lazy(lambda self: 0 in self.pd_simple or 2 in self.pd_simple)
+    # a_min + min(lam) - gldim, the slack in the sharpest interval bound; nonnegative whenever
+    # s_connected is True, and None at infinite gldim
+    brown_slack = _lazy(lambda self: None if self.gldim == INFINITE else (
+        self.a_min + min(self.lam.values()) - self.gldim))
 
     @property
     def lambda_one(self) -> int:
@@ -250,28 +268,7 @@ class HomologyReport:
 def homology_report(series: KupischSeries, pds=None) -> HomologyReport:
     """The full report for a connected Nakayama algebra; ``pds``: its simples' pds, if known."""
     pds = pd_simples(series) if pds is None else pds
-    gldim = _gldim(series, pds)
-    # each count is a run of the sorted pds, so even n distinct pds cost one sort, not n scans
-    lam = {cc: series.n - len(list(run)) for cc, run in groupby(sorted(pds))}
-    lam.pop(INFINITE, None)
-    o_set = tuple(lam)  # sorted and distinct: an interval iff it has gldim - a_min + 1 values
-    a_min = o_set[0] if o_set else None
-    s_connected = brown_slack = None
-    if gldim != INFINITE:
-        s_connected = len(o_set) == gldim - a_min + 1
-        brown_slack = a_min + min(lam.values()) - gldim
-    return HomologyReport(
-        kind=series.kind,
-        c=series.c,
-        pd_simple=pds,
-        gldim=gldim,
-        o_set=o_set,
-        a_min=a_min,
-        lam=lam,
-        s_connected=s_connected,
-        quasi_hereditary=0 in pds or 2 in pds,
-        brown_slack=brown_slack,
-    )
+    return HomologyReport(series.kind, series.c, pds, _gldim(series, pds))
 
 
 # ---------------------------------------------------------------------------

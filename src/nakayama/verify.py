@@ -20,36 +20,25 @@ import json
 import os
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import cache, cached_property, partial
+from functools import cache, partial
 
 from .core import CYCLIC, LINEAR, KupischSeries, _canonical_c, _kupisch_c, _relation_pairs
 from .enumeration import (_chain_pairs, _cyclic_cap, _cyclic_with_first, _is_chain,
                           _linear_series, count_closed_form, fibonacci)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
-from .homology import (INFINITE, _brown_bound, _gldim, _module_table, _quasi_hereditary,
+from .homology import (INFINITE, _brown_bound, _gldim, _lazy, _module_table, _quasi_hereditary,
                         check_inequalities, check_madsen, check_parity_interpolation,
                         homology_report, pd_simples)
 
 
 def _shards(n: int, cap=None) -> list:
-    """The n-vertex enumeration cut into contiguous shards, in enumeration order.
+    """The n-vertex enumeration, n >= 2, cut into contiguous shards, in enumeration order.
 
     A shard is (kind, first): the cyclic series whose first entry is
     ``first``, or (LINEAR, 0) for all the linear series.
     """
-    cyclic = [(CYCLIC, first) for first in range(2, _cyclic_cap(n, cap) + 1)] if n >= 1 else []
-    return cyclic + [(LINEAR, 0)] if n >= 2 else cyclic
-
-
-class _lazy(cached_property):
-    """A ``cached_property`` without the lock that it takes before Python 3.12."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
+    return [(CYCLIC, first) for first in range(2, _cyclic_cap(n, cap) + 1)] + [(LINEAR, 0)]
 
 
 class _Profile:
@@ -316,6 +305,8 @@ def _suite(name: str, statement: str):
     ``suite_chain`` -> ``homology_report``.
     """
     def suite(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
+        if n < 2:
+            raise NakayamaError(f"n must be at least 2, got {n}")
         return (sweep() if sweep else _results((name,), n, cap))[name]
     suite.__name__ = suite.__qualname__ = "suite_" + name.replace("-", "_")
     suite.__doc__ = statement

@@ -1,5 +1,6 @@
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,13 @@ from nakayama import (CYCLIC, LINEAR, KupischSeries, UniserialModule, enumerate_
 from nakayama.errors import NakayamaError
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def stand_in(real, **planted):
+    """A namespace holding ``real``'s public attributes, then ``planted``: values that a real
+    report or tower, whose fields are derived from its inputs, cannot hold."""
+    attributes = {name: getattr(real, name) for name in dir(real) if not name.startswith("_")}
+    return types.SimpleNamespace(**{**attributes, **planted})
 
 
 def input_error(message):

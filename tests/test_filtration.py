@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from nakayama import (
     CYCLIC,
     INFINITE,
     LINEAR,
+    EpsilonTower,
     KupischSeries,
     UniserialModule,
     base_set,
@@ -165,6 +167,10 @@ def test_every_projective_at_an_interval_top_is_tiled():
             assert isinstance(count, int), (series, t)
             checked += 1
     assert checked
+
+
+def test_a_tower_stores_only_its_steps():
+    assert [f.name for f in dataclasses.fields(EpsilonTower)] == ["steps"]
 
 
 def test_tower_examples():

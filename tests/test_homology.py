@@ -14,6 +14,7 @@ from nakayama import (
     CYCLIC,
     INFINITE,
     LINEAR,
+    HomologyReport,
     KupischSeries,
     UniserialModule,
     check_inequalities,
@@ -452,6 +453,14 @@ def test_lambda_restricted_to_attained_values():
     r = homology_report(validate(CYCLIC, (3, 2, 2)))
     with pytest.raises(KeyError):
         r.lam[5]
+
+
+def test_a_report_stores_its_inputs_and_gldim_and_derives_the_rest_when_read():
+    assert [f.name for f in dataclasses.fields(HomologyReport)] == ["kind", "c", "pd_simple",
+                                                                     "gldim"]
+    report = homology_report(validate(CYCLIC, (3, 2, 2)))  # pds (1, 3, 2)
+    assert vars(report).keys() == {"kind", "c", "pd_simple", "gldim"}  # nothing derived yet
+    assert report.s_connected and not dataclasses.replace(report, gldim=4).s_connected
 
 
 def test_lambda_counts_match_a_per_value_count():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import stand_in
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -35,7 +37,7 @@ def test_tower_survey_exits_2_on_a_mismatch(tower_survey, monkeypatch, capsys):
     def wrong_terminal(series):
         tower = real(series)
         if series.c == (3, 2, 2):  # finite gldim, so its true terminal is linear
-            return dataclasses.replace(tower, terminal="selfinjective")
+            return stand_in(tower, terminal="selfinjective")
         return tower
 
     monkeypatch.setattr(tower_survey, "epsilon_tower", wrong_terminal)
@@ -57,13 +59,21 @@ def test_tower_survey_cap_adds_only_infinite_global_dimension(tower_survey, monk
     assert survey("--cap", "12") == ([10, 29, 84], [1, 4, 15])
 
 
-@pytest.mark.parametrize("name", ["fibonacci_census", "tower_survey"])
-def test_scripts_exit_1_on_a_usage_error(name, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--n-max", "x"])
+@pytest.mark.parametrize("name, n_max, message", [
+    pytest.param("fibonacci_census", "x", "invalid int value: 'x'", id="fibonacci_census"),
+    pytest.param("tower_survey", "x", "invalid int value: 'x'", id="tower_survey"),
+    # a range that sweeps nothing would read as a clean table
+    ("fibonacci_census", "1", "--n-max must be at least 2, got 1"),
+    ("fibonacci_census", "-4", "--n-max must be at least 2, got -4"),
+    ("tower_survey", "0", "--n-max must be at least 1, got 0"),
+])
+def test_scripts_exit_1_on_a_usage_error(name, n_max, message, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--n-max", n_max])
     with pytest.raises(SystemExit) as exc:
         load_script(name).main()
     assert exc.value.code == 1  # 2 would read as a counterexample
-    assert "invalid int value: 'x'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_fibonacci_census_exits_2_on_a_disagreement(monkeypatch, capsys):

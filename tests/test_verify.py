@@ -1,4 +1,3 @@
-import dataclasses
 import multiprocessing
 import os
 from collections import Counter
@@ -15,6 +14,7 @@ from nakayama import (
     CYCLIC,
     INFINITE,
     LINEAR,
+    HomologyReport,
     KupischSeries,
     RelationSystem,
     census,
@@ -35,7 +35,7 @@ from nakayama.homology import _module_table, _quasi_hereditary, pd_simples
 from nakayama.verify import (SUITES, run_suites, _SUITES, _lazy, _Profile, _shards, _sweep_shard,
                              _SUITE_FUNCTIONS)
 
-from conftest import cyclic_series, enumerated_series
+from conftest import cyclic_series, enumerated_series, stand_in
 from oracles import oracle_is_chain, oracle_relations
 
 
@@ -88,6 +88,14 @@ def test_run_suites_rejects_an_empty_list_and_jobs_below_one():
         run_suites(["chain"], 3, jobs=0)
 
 
+@pytest.mark.parametrize("name", SUITES)
+def test_each_suite_function_rejects_n_below_two(name):
+    # below n = 2 there is no algebra to sweep, which would read as a clean pass
+    for n in (1, 0):
+        with pytest.raises(NakayamaError, match=f"^n must be at least 2, got {n}$"):
+            _SUITE_FUNCTIONS[name](n)
+
+
 def test_run_suites_rejects_n_max_below_two_before_the_names():
     # below n = 2 there is no algebra to sweep, which would read as a clean pass
     for names in (SUITES, [], ["bogus"]):
@@ -95,12 +103,12 @@ def test_run_suites_rejects_n_max_below_two_before_the_names():
             run_suites(names, 1)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_shards_concatenate_to_the_enumeration(n):
     for cap in (None, 1, 2, 3, n, 2 * n + 2):
         shards = _shards(n, cap)
         cyclic = [first for kind, first in shards if kind == CYCLIC]
-        assert [kind for kind, _ in shards] == [CYCLIC] * len(cyclic) + [LINEAR] * (n >= 2)
+        assert [kind for kind, _ in shards] == [CYCLIC] * len(cyclic) + [LINEAR]
         concatenated = [c for first in cyclic for c in _cyclic_with_first(n, first)]
         assert concatenated == [s.c for s in enumerate_cyclic(n, cap)]
 
@@ -293,6 +301,19 @@ def test_the_chain_predicate_runs_once_per_algebra(monkeypatch):
     assert sorted(calls) == sorted(_swept(6)) and len(calls) == len(set(calls))
 
 
+def test_lambda_counts_are_computed_once_per_swept_algebra_of_finite_gldim(monkeypatch):
+    swept = _swept(6)
+    finite = [(kind, c) for kind, c in swept
+              if homology_report(KupischSeries(kind, c)).gldim != INFINITE]
+    calls, compute = [], HomologyReport.lam.func
+    counted = _lazy(lambda report: calls.append((report.kind, report.c)) or compute(report))
+    counted.__set_name__(HomologyReport, "lam")
+    monkeypatch.setattr(HomologyReport, "lam", counted)
+    run_suites(SUITES, 6)
+    assert sorted(calls) == sorted(finite) and len(calls) == len(set(calls))
+    assert 0 < len(finite) < len(swept)  # and none for the algebras of infinite gldim
+
+
 def test_one_report_per_swept_algebra_and_none_for_a_reduced_one(monkeypatch):
     calls = []
 
@@ -411,7 +432,7 @@ def test_one_module_table_per_algebra_and_none_unread(monkeypatch):
 
 def _cyclic_shards(n_max):
     """(n, first entry, non-selfinjective series) of every cyclic shard up to n_max."""
-    for n in range(1, n_max + 1):
+    for n in range(2, n_max + 1):  # n = 1 has only the selfinjective (2,)
         for kind, first in _shards(n):
             if kind == CYCLIC:
                 swept = (KupischSeries(CYCLIC, c) for c in _cyclic_with_first(n, first))
@@ -517,7 +538,7 @@ def test_sweep_relations_are_valid_by_construction():
         assert chain == is_chain(system) == oracle_is_chain(system), series
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_shard_generators_yield_valid_series_that_enumerate_wraps(n):
     # the sweep reads these tuples unvalidated: their validity is checked here, not assumed
     for cap in (None, 2, 2 * n + 2) if n <= 6 else (None,):
@@ -525,7 +546,7 @@ def test_shard_generators_yield_valid_series_that_enumerate_wraps(n):
                    (_cyclic_with_first(n, first) if kind == CYCLIC else _linear_series(n))]
         for kind, c in yielded:
             KupischSeries(kind, c)  # raises unless c is valid as its kind
-        wrapped = [*enumerate_cyclic(n, cap), *(enumerate_linear(n) if n >= 2 else ())]
+        wrapped = [*enumerate_cyclic(n, cap), *enumerate_linear(n)]
         assert yielded == [(s.kind, s.c) for s in wrapped]
 
 
@@ -598,7 +619,7 @@ def test_a_sweep_builds_no_kupisch_series(monkeypatch):
 ])
 def test_each_report_check_words_its_violation(name, series, changes, expected):
     profile = _Profile(series.kind, series.c)
-    profile.report = dataclasses.replace(profile.report, **changes)
+    profile.report = stand_in(profile.report, **changes)
     assert _SUITES[name][2](profile) == expected
 
 
