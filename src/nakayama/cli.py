@@ -24,9 +24,9 @@ Usage examples
   nakayama verify --theorems fibonacci,chain --n-max 5
   nakayama convert --relations "1:2;2:3" -n 4 --cyclic
 
-Exit codes: 0 success, 1 usage or input error, 2 theorem violation found,
-3 internal error (a bug in this package, not in the input), 141 (128 + SIGPIPE)
-when the reader closes stdout before the output is written, as in ``| head -1``.
+Exit codes: 0 success, 1 usage or input error, 2 theorem violation found, 3 internal
+error (any exception but an input error, so a bug in this package; traceback on stderr),
+141 (128 + SIGPIPE) when the reader closes stdout before it is written, as in ``| head -1``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .core import (
     validate,
 )
 from .enumeration import enumerate_cyclic, enumerate_linear
-from .errors import InternalError, NakayamaError
+from .errors import NakayamaError
 from .filtration import epsilon_tower
 from .homology import homology_report
 from .verify import SUITES, run_suites
@@ -247,10 +247,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush too
         return 141
-    except ValueError as exc:
+    except NakayamaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalError as exc:
+    except Exception as exc:  # a bug: InternalError or any builtin exception
+        import traceback  # only a run that hits a bug pays for the import
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

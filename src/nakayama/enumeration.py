@@ -24,8 +24,10 @@ a ``ChainSystem``.  The third route, the brute-force tally of
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
-from .core import CYCLIC, LINEAR, KupischSeries, RelationSystem, _canonical_c, _kupisch_c, check_kind
+from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, canonical_form, check_kind,
+                   relations_to_kupisch)
 from .errors import NakayamaError
 
 
@@ -66,7 +68,7 @@ def _linear_series(n: int):
     """The c of ``enumerate_linear``, built backwards from c_n = 1 with c_i in
     [2, min(c_{i+1} + 1, n - i + 1)]: valid by construction, so not validated.
     """
-    if n < 2:
+    if (n := index(n)) < 2:
         raise NakayamaError(f"need n >= 2, got {n}")
 
     def extend(suffix):
@@ -130,8 +132,7 @@ class ChainSystem(RelationSystem):
     """A chain-normalized relation system: on a cycle the first start is 1, every end at most n."""
 
     def to_kupisch(self) -> KupischSeries:
-        c = _kupisch_c(self.kind, self.n, self.relations)
-        return KupischSeries(self.kind, _canonical_c(self.kind, c))
+        return canonical_form(relations_to_kupisch(self))
 
 
 def is_chain(system: RelationSystem) -> bool:
@@ -144,14 +145,11 @@ def is_chain(system: RelationSystem) -> bool:
     A linear system is tested as stored.  A cyclic one is read once around
     the cycle, (last, first + n) included: exactly one consecutive pair
     may share no arrow, and the chain starts after it; pairs two apart
-    across that gap are disjoint anyway.
+    across that gap are disjoint anyway.  One pass returns at the first
+    overlap two apart and at the first gap too many.  Any object with
+    ``kind``, ``n`` and sorted, irredundant ``relations`` will do.
     """
-    return _is_chain(system.kind, system.n, system.relations)
-
-
-def _is_chain(kind: str, n: int, rel) -> bool:
-    """``is_chain`` on the sorted (start, end) pairs of an irredundant system, in one pass
-    that returns at the first overlap two apart and at the first gap too many."""
+    kind, n, rel = system.kind, system.n, system.relations
     cyclic = kind == CYCLIC  # the gaps allowed: one on a cycle, none on a line
     ring = [*rel, *((s + n, e + n) for s, e in rel[:2])] if cyclic else rel
     gaps, last = 0, len(ring) - 2  # a pair two apart exists for i < last

@@ -22,9 +22,10 @@ from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cache, partial
 
-from .core import CYCLIC, LINEAR, KupischSeries, _canonical_c, _kupisch_c, _relation_pairs
-from .enumeration import (_chain_pairs, _cyclic_cap, _cyclic_with_first, _is_chain,
-                          _linear_series, count_closed_form, fibonacci)
+from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, _canonical_c, _kupisch_c,
+                   _relation_pairs)
+from .enumeration import (_chain_pairs, _cyclic_cap, _cyclic_with_first, _linear_series,
+                          count_closed_form, fibonacci, is_chain)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from .homology import (INFINITE, _brown_bound, _gldim, _lazy, _module_table, _quasi_hereditary,
@@ -44,8 +45,9 @@ def _shards(n: int, cap=None) -> list:
 class _Profile:
     """One algebra, (kind, c), and what the suites read about it, each computed on first use.
 
-    It reads as a series (``kind``, ``c``, ``n``, ``is_selfinjective``, its label), so the
-    functions of ``homology`` and ``filtration`` take it in place of a ``KupischSeries``.
+    It reads as a series (``kind``, ``c``, ``n``, ``is_selfinjective``, its label) and as a
+    relation system (``relations``, ``r``), so the functions of ``homology``, ``filtration`` and
+    ``is_chain`` take it in place of a ``KupischSeries`` or a ``RelationSystem``.
     """
 
     def __init__(self, kind, c, tabled=False, reduced=None):
@@ -63,8 +65,8 @@ class _Profile:
         # gldim reaches Brown's bound, read with lambda_1 = r: pd S_v = 1 iff v starts no relation
         _quasi_hereditary(self) and _gldim(self, self.pds) >= _brown_bound(self.kind, self.r)
         and self.report.is_maximal))
-    pairs = _lazy(lambda self: _relation_pairs(self.c))
-    r = _lazy(lambda self: len(self.pairs) + (self.kind == LINEAR))  # RelationSystem.r
+    relations = _lazy(lambda self: _relation_pairs(self.c))
+    r = _lazy(RelationSystem.r.fget)
     step = _lazy(lambda self: _reduce(self))  # the first reduction's (kind, c) components
     terminal = _lazy(lambda self: (  # epsilon_tower(series).terminal, tail shared
         TERMINAL_SELFINJECTIVE if self.is_selfinjective else
@@ -72,7 +74,7 @@ class _Profile:
 
     @_lazy
     def chain_violations(self) -> list:  # the chain suite's, and the census tally's
-        maximal, chain = self.maximal, _is_chain(self.kind, self.n, self.pairs)
+        maximal, chain = self.maximal, is_chain(self)
         return [] if maximal == chain else [f"{self}: maximal={maximal} but chain={chain}"]
 
     def of(self, component) -> "_Profile":
@@ -185,10 +187,6 @@ def _brown(profile):
     return []
 
 
-def _madsen(profile):
-    return [f"{profile}: fails at {m}" for m in check_madsen(profile, profile.table)]
-
-
 def _epsilon(profile):
     if profile.kind != CYCLIC or profile.is_selfinjective:
         return None
@@ -219,7 +217,8 @@ _SUITES = {  # suite -> (its theorem, noun for the algebras it checks, predicate
         "The interval bound gldim <= a + lambda_c for every attained c, the sink bound"
         " gldim <= n - 1 on a line and Gustafson's gldim <= 2n - 2 on a cycle of finite gldim.",
         "algebras", lambda p: check_inequalities(p, p.report)),
-    "madsen": ("Odd-pd modules attain their pd on a composition factor.", "algebras", _madsen),
+    "madsen": ("Odd-pd modules attain their pd on a composition factor.", "algebras",
+               lambda p: [f"{p}: fails at {m}" for m in check_madsen(p, p.table)]),
     "parity": ("Odd attainment and even interpolation of simple pd values.",
                "finite-gldim algebras", lambda p: None if p.report.gldim == INFINITE
                else check_parity_interpolation(p, p.report)),

@@ -207,15 +207,18 @@ def test_verify_csv(capsys):
     assert "fibonacci,3,0" in out
 
 
-def test_internal_error_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [InternalError, ValueError, KeyError])
+def test_internal_error_exits_3(capsys, monkeypatch, error):
+    # any exception but an input error is a bug: its traceback, then one last line, on stderr
     def broken(series):
-        raise InternalError("invariant broken")
+        raise error("invariant broken")
 
     monkeypatch.setattr(cli_mod, "homology_report", broken)
     code, out, err = run(capsys, "analyze", "--cyclic", "3,4,4")
     assert code == 3
     assert out == ""
-    assert "internal error: invariant broken" in err
+    assert err.startswith("Traceback (most recent call last):") and "in broken" in err
+    assert err.splitlines()[-1] == f"internal error: {error('invariant broken')}"
 
 
 def test_internal_errors_are_not_input_errors():
@@ -293,3 +296,12 @@ def test_importing_the_cli_leaves_multiprocessing_unimported():
     # only a pooled verify run imports it
     code = "import sys, nakayama.cli; print('multiprocessing' in sys.modules)"
     assert _child("-c", code, capture_output=True, text=True, check=True).stdout == "False\n"
+
+
+def test_a_run_without_a_bug_leaves_traceback_unimported():
+    # only main's handler of a bug imports it, to print the bug's traceback
+    code = ("import sys, nakayama.cli as cli; codes = [cli.main(['convert', '--cyclic', *argv])"
+            " for argv in (['--kupisch', '3,2,2'], ['--kupisch', '3,1'])];"
+            " print(codes, 'traceback' in sys.modules)")
+    child = _child("-c", code, capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[-1] == "[0, 1] False"

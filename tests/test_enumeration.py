@@ -27,7 +27,7 @@ from nakayama import (
     relations_to_kupisch,
 )
 from nakayama.core import _canonical_c, _kupisch_c
-from nakayama.enumeration import _chain_pairs, _is_chain
+from nakayama.enumeration import _chain_pairs
 from nakayama.verify import _census_rows
 from nakayama.errors import NakayamaError
 
@@ -57,6 +57,13 @@ def test_enumerations_reject_too_few_vertices():
         list(enumerate_linear(1))  # a generator: it checks on the first next()
     with input_error("need n >= 1, got 0"):
         list(enumerate_cyclic(0))
+
+
+@pytest.mark.parametrize("enumerate_kind", [enumerate_linear, enumerate_cyclic])
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_enumerations_reject_a_vertex_count_that_is_not_an_integer(enumerate_kind, n):
+    with pytest.raises(TypeError):
+        list(enumerate_kind(n))
 
 
 def test_enumerate_cyclic_examples():
@@ -220,7 +227,7 @@ def test_the_census_reads_the_chain_systems_bare():
                 bare = list(_chain_pairs(n, r, kind))
                 assert [ChainSystem(kind, n, pairs).relations for pairs in bare] == bare
                 assert [ch.relations for ch in enumerate_chains(n, r, kind)] == bare
-                assert all(_is_chain(kind, n, pairs) for pairs in bare)
+                assert all(is_chain(ChainSystem(kind, n, pairs)) for pairs in bare)
 
 
 def test_chain_systems_satisfy_their_own_predicate():

@@ -90,7 +90,7 @@ def test_the_errors_module_defines_exactly_two_classes():
                if inspect.isclass(value) and value.__module__ == nakayama.errors.__name__]
     assert sorted(defined) == ["InternalError", "NakayamaError"]
     assert issubclass(NakayamaError, ValueError)
-    # the CLI catches ValueError first, so a bug must not be one
+    # the CLI catches NakayamaError as an input error, so a bug must not be one
     assert not issubclass(InternalError, (NakayamaError, ValueError))
 
 

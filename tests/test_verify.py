@@ -28,7 +28,7 @@ from nakayama import (
     relations_to_kupisch,
     validate,
 )
-from nakayama.enumeration import _cyclic_with_first, _is_chain, _linear_series
+from nakayama.enumeration import _cyclic_with_first, _linear_series
 from nakayama.errors import InternalError, NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from nakayama.homology import _module_table, _quasi_hereditary, pd_simples
@@ -365,8 +365,8 @@ def test_census_checks_every_n_before_it_sweeps_any(monkeypatch):
 
 def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     flipped = (3, 2, 2)  # maximal at n = 3
-    monkeypatch.setattr(nakayama.verify, "_is_chain", lambda kind, n, pairs: _is_chain(
-        kind, n, pairs) != (relations_to_kupisch(RelationSystem(kind, n, pairs)).c == flipped))
+    monkeypatch.setattr(nakayama.verify, "is_chain", lambda system: is_chain(system) != (
+        relations_to_kupisch(system).c == flipped))
     text = "[3,2,2]: maximal=True but chain=False"
     results = run_suites(["chain", "fibonacci"], 3)
     assert results["chain"][1].count(text) == 1
@@ -374,7 +374,7 @@ def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     assert census([3], CYCLIC).violations.count(text) == 1
 
 
-_PROFILE_FIELDS = ("is_selfinjective", "table", "pds", "report", "maximal", "pairs", "r",
+_PROFILE_FIELDS = ("is_selfinjective", "table", "pds", "report", "maximal", "relations", "r",
                    "chain_violations", "step", "terminal")
 
 
@@ -530,12 +530,11 @@ def test_sweep_relations_are_valid_by_construction():
     # one-vertex line, which no enumeration reaches, has c_1 = 1 and no stored relation
     for series in [validate(LINEAR, (1,)), *enumerated_series()]:
         profile = _Profile(series.kind, series.c)
-        pairs = tuple(profile.pairs)
+        pairs = tuple(profile.relations)
         assert pairs == oracle_relations(series) == kupisch_to_relations(series).relations
         system = RelationSystem(series.kind, series.n, pairs)  # validates
         assert profile.r == system.r, series
-        chain = _is_chain(series.kind, series.n, profile.pairs)
-        assert chain == is_chain(system) == oracle_is_chain(system), series
+        assert is_chain(profile) == is_chain(system) == oracle_is_chain(system), series
 
 
 @pytest.mark.parametrize("n", range(2, 9))
