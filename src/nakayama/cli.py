@@ -73,44 +73,48 @@ def _kind(args) -> str:
     return CYCLIC if args.cyclic else LINEAR
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
     parser = _Parser(prog="nakayama", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="homological report for one algebra")
-    _add_kind_flags(p)
-    p.add_argument("kupisch", help='Kupisch series, e.g. "3,4,4"')
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_analyze)
+    if command in (None, "analyze"):
+        _add_kind_flags(p)
+        p.add_argument("kupisch", help='Kupisch series, e.g. "3,4,4"')
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("enumerate", help="count or list isomorphism classes")
-    _add_kind_flags(p)
-    p.add_argument("-n", type=int, required=True, help="number of vertices")
-    p.add_argument("--cap", type=int, default=None,
-                   help="cyclic entry cap (default 2n-1; a higher cap adds only infinite gldim)")
-    p.add_argument("--filter", choices=("all", "qh", "maximal"), default="all")
-    p.add_argument("--list", action="store_true", help="print canonical series")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_enumerate)
+    if command in (None, "enumerate"):
+        _add_kind_flags(p)
+        p.add_argument("-n", type=int, required=True, help="number of vertices")
+        p.add_argument("--cap", type=int, default=None,
+                       help="cyclic entry cap (default 2n-1; a higher cap adds only infinite gldim)")
+        p.add_argument("--filter", choices=("all", "qh", "maximal"), default="all")
+        p.add_argument("--list", action="store_true", help="print canonical series")
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="machine-verify the theorems")
-    p.add_argument("--theorems", default="all",
-                   help=f"comma-separated subset of: {','.join(SUITES)} (or 'all')")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None,
-                   help="cyclic entry cap (default 2n-1; a higher cap adds only infinite gldim)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most the usable CPUs (default 1)")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        p.add_argument("--theorems", default="all",
+                       help=f"comma-separated subset of: {','.join(SUITES)} (or 'all')")
+        p.add_argument("--n-max", type=int, required=True)
+        p.add_argument("--cap", type=int, default=None,
+                       help="cyclic entry cap (default 2n-1; a higher cap adds only infinite gldim)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most the usable CPUs (default 1)")
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("convert", help="translate between representations")
-    _add_kind_flags(p)
-    p.add_argument("--kupisch", help='Kupisch series, e.g. "3,2,2"')
-    p.add_argument("--relations", help='relation system, e.g. "1:2;2:3"')
-    p.add_argument("-n", type=int, default=None,
-                   help="vertex count (required with --relations)")
-    p.set_defaults(func=cmd_convert)
+    if command in (None, "convert"):
+        _add_kind_flags(p)
+        p.add_argument("--kupisch", help='Kupisch series, e.g. "3,2,2"')
+        p.add_argument("--relations", help='relation system, e.g. "1:2;2:3"')
+        p.add_argument("-n", type=int, default=None,
+                       help="vertex count (required with --relations)")
+        p.set_defaults(func=cmd_convert)
     return parser
 
 
@@ -235,9 +239,15 @@ def cmd_convert(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run ``nakayama <argv>`` (``sys.argv[1:]`` when None) and return its exit code.
+
+    A call parses one subcommand, so it builds the arguments of ``argv[0]`` only; all four
+    subcommands stay registered, which keeps ``--help`` and an unknown command's error intact.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and not argv[0].startswith("-") else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

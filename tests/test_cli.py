@@ -256,6 +256,8 @@ def test_convert_redundant_exits_1(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--n-max", "1"), "n_max must be at least 2, got 1"),
     (("convert", "--relations", "1:2", "--cyclic"), "--relations needs the vertex count -n"),
+    (("convert", "--cyclic", "--relations", "1:2", "-n", "99999999999999999999"),
+     f"vertex count 99999999999999999999 exceeds the limit {sys.maxsize}"),
 ])
 def test_each_usage_error_exits_1_with_its_message(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -265,6 +267,62 @@ def test_convert_requires_exactly_one_input(capsys):
     assert run(capsys, "convert", "--cyclic")[0] == 1
     assert run(capsys, "convert", "--cyclic", "--kupisch", "3,2,2",
                "--relations", "1:2", "-n", "3")[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+# for the top level and each subcommand: --help, a missing required argument and an invalid
+# choice (convert has no choices, so an invalid int there)
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["frobnicate"],
+    ["analyze", "--help"], ["analyze", "--cyclic"],
+    ["analyze", "--cyclic", "3,4,4", "--format", "xml"],
+    ["enumerate", "--help"], ["enumerate", "--cyclic"],
+    ["enumerate", "--cyclic", "-n", "4", "--filter", "odd"],
+    ["verify", "--help"], ["verify"], ["verify", "--n-max", "3", "--format", "xml"],
+    ["convert", "--help"], ["convert"], ["convert", "--cyclic", "-n", "four"],
+])
+def test_main_prints_the_full_parsers_help_and_usage_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli_mod.build_parser().parse_args(argv)
+    expected = (exit_.value.code, *capsys.readouterr())
+    built, build = [], cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser",
+                        lambda command: built.append(command) or build(command))
+    assert run(capsys, *argv) == expected
+    assert built == [argv[0] if argv and argv[0] != "--help" else None]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--linear", "2,2,2,1", "--format", "json"],
+    ["enumerate", "--linear", "-n", "5", "--cap", "6", "--filter", "qh", "--list"],
+    ["verify", "--theorems", "fibonacci,chain", "--n-max", "5", "--cap", "4"],
+    ["convert", "--linear", "--kupisch", "3,2,1"],
+    # the four CLI runs of CI's stdlib-only step
+    ["verify", "--n-max", "5", "--jobs", "2", "--format", "csv"],
+    ["analyze", "--cyclic", "3,4,4"],
+    ["enumerate", "--cyclic", "-n", "5", "--filter", "maximal", "--list"],
+    ["convert", "--cyclic", "--relations", "1:2;2:3", "-n", "3"],
+])
+def test_one_subcommands_parser_reads_its_argv_as_the_full_parser_does(argv):
+    parsed = cli_mod.build_parser(argv[0]).parse_args(argv)
+    assert vars(parsed) == vars(cli_mod.build_parser().parse_args(argv))
+
+
+def test_the_console_entry_reads_sys_argv_and_builds_one_subcommand(capsys, monkeypatch):
+    argv = ["analyze", "--cyclic", "3,4,4"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["nakayama", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli_mod.console()  # sys.exit(main()): main with argv None
+    assert (exit_.value.code, *capsys.readouterr()) == expected
+    subparsers = cli_mod.build_parser("analyze")._subparsers._group_actions[0].choices
+    options = {name: [a.option_strings for a in p._actions] for name, p in subparsers.items()}
+    assert len(options.pop("analyze")) > 1
+    assert options == dict.fromkeys(("enumerate", "verify", "convert"), [["-h", "--help"]])
 
 
 # ---------------------------------------------------------------------------
