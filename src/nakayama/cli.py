@@ -53,7 +53,7 @@ from .enumeration import enumerate_cyclic, enumerate_linear
 from .errors import NakayamaError
 from .filtration import epsilon_tower
 from .homology import homology_report
-from .verify import SUITES, run_suites
+from .verify import _SWEEP_LIMIT, SUITES, run_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,8 +165,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    if args.n < 2:
-        raise NakayamaError(f"enumeration needs n >= 2, got {args.n}")
+    if not 2 <= args.n <= _SWEEP_LIMIT:
+        raise NakayamaError(f"enumeration needs 2 <= n <= {_SWEEP_LIMIT}, got {args.n}")
     stream = enumerate_cyclic(args.n, args.cap) if args.cyclic else enumerate_linear(args.n)
     wanted = {"qh": "quasi_hereditary", "maximal": "is_maximal"}.get(args.filter)  # None: all
     kept = [s for s in stream if wanted is None or getattr(homology_report(s), wanted)]

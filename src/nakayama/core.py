@@ -23,7 +23,6 @@ concurrent workers.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from operator import index
 
@@ -31,6 +30,7 @@ from .errors import InternalError, NakayamaError
 
 CYCLIC = "cyclic"
 LINEAR = "linear"
+_VERTEX_LIMIT = 10 ** 7  # a relation system's largest n: lists of n entries are built from it
 
 
 def check_kind(kind: str) -> str:
@@ -169,8 +169,8 @@ class RelationSystem:
     ``relations`` holds (start, end) arrow-index pairs sorted by start; see
     the module docstring for the unreduced-end convention.  Construction
     enforces an integer vertex count and endpoints (TypeError otherwise)
-    and raises NakayamaError unless n is at most ``sys.maxsize`` (the
-    largest list length), the starts are distinct and in 1..n,
+    and raises NakayamaError unless n is at most ``_VERTEX_LIMIT`` (lists
+    of length n are built from it), the starts are distinct and in 1..n,
     lengths are at least 2, linear ends at most n - 1, and no relation lies
     inside another (on a cycle, after any shift by a multiple of n), so the
     ends increase with the starts.  For the linear kind the formal relation
@@ -190,8 +190,8 @@ class RelationSystem:
         check_kind(self.kind)
         if self.n < 1:
             raise NakayamaError(f"vertex count must be positive, got {self.n}")
-        if self.n > sys.maxsize:
-            raise NakayamaError(f"vertex count {self.n} exceeds the limit {sys.maxsize}")
+        if self.n > _VERTEX_LIMIT:
+            raise NakayamaError(f"vertex count {self.n} exceeds the limit {_VERTEX_LIMIT}")
         rel = self.relations
         if self.kind == CYCLIC and not rel:
             raise NakayamaError("a cyclic quiver needs at least one relation")

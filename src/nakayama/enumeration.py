@@ -19,6 +19,12 @@ summing to Fibonacci numbers.  The census reads the chain systems as the
 bare pair tuples of ``_chain_pairs``; ``enumerate_chains`` validates each as
 a ``ChainSystem``.  The third route, the brute-force tally of
 ``HomologyReport.is_maximal`` over the enumeration, is in ``nakayama.verify``.
+
+Each generator is one loop over a stack of partial tuples that pushes a tuple's children in
+reverse, so a cyclic shard comes out in increasing lexicographic order, ``_linear_series`` in
+increasing order of the reversed tuple and ``_chain_pairs`` in increasing order of the pair
+tuples; the shards, ``--list`` and pinned digests rest on this order.  The stack holds
+O(depth x branching) tuples, so the generators are lazy and unbounded at any n.
 """
 
 from __future__ import annotations
@@ -70,16 +76,13 @@ def _linear_series(n: int):
     """
     if (n := index(n)) < 2:
         raise NakayamaError(f"need n >= 2, got {n}")
-
-    def extend(suffix):
-        i = n - len(suffix)
-        if i == 0:
+    stack = [(1,)]
+    while stack:
+        suffix = stack.pop()
+        if len(suffix) < n:  # c_i <= min(c_{i+1}, n - i) + 1, and n - i = len(suffix)
+            stack.extend((v,) + suffix for v in range(min(suffix[0], len(suffix)) + 1, 1, -1))
+        else:
             yield suffix
-            return
-        for v in range(2, min(suffix[0] + 1, n - i + 1) + 1):
-            yield from extend((v,) + suffix)
-
-    yield from extend((1,))
 
 
 def enumerate_cyclic(n: int, cap: int | None = None):
@@ -102,7 +105,7 @@ def _cyclic_cap(n: int, cap: int | None) -> int:
 
 def _cyclic_with_first(n: int, first: int):
     """The c of the canonical cyclic series with n vertices whose first (largest) entry is
-    ``first``; each step keeps c_{v+1} >= c_v - 1, so they are valid and not validated.
+    ``first``; every step keeps c_{v+1} >= c_v - 1, the wrap c_1 = first >= c_n too: unvalidated.
     """
 
     def is_canonical(c):
@@ -112,16 +115,13 @@ def _cyclic_with_first(n: int, first: int):
                 return False
         return True
 
-    def extend(prefix):
-        if len(prefix) == n:
-            if first >= prefix[-1] - 1 and is_canonical(prefix):
-                yield prefix
-            return
-        # canonical forms start with the maximum entry, so never exceed it
-        for v in range(max(2, prefix[-1] - 1), first + 1):
-            yield from extend(prefix + (v,))
-
-    yield from extend((first,))
+    stack = [(first,)]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) < n:  # canonical forms start with the maximum entry, so never exceed it
+            stack.extend(prefix + (v,) for v in range(first, max(2, prefix[-1] - 1) - 1, -1))
+        elif is_canonical(prefix):
+            yield prefix
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +178,18 @@ def _chain_pairs(n: int, r: int, kind: str):
     """The sorted (start, end) pair tuples of ``enumerate_chains``, in its order, bare."""
     stored = r if kind == CYCLIC else r - 1
     last_end = n if kind == CYCLIC else n - 1
-
-    def extend(pairs):
-        i = len(pairs)
-        if i == stored:
+    # a cycle's first start is 1, a line's any start before its last arrow
+    stack = [((s, e),) for s in range(1 if kind == CYCLIC else last_end - 1, 0, -1)
+             for e in range(last_end, s, -1)] if stored else [()]
+    while stack:
+        pairs = stack.pop()
+        if (i := len(pairs)) == stored:
             yield pairs
-            return
-        if i == 0:  # a cycle's first start is 1, a line's any start before its last arrow
-            lo, hi, prev_end = 1, 1 if kind == CYCLIC else last_end - 1, 0
-        else:
-            prev_start, prev_end = pairs[-1]
-            # next start: after this one, not past its end (overlap/touch),
-            # and past the end of the one before the previous (separation)
-            lo = max(prev_start, pairs[-2][1] if i >= 2 else 0) + 1
-            hi = prev_end
-        for s in range(lo, hi + 1):
-            for e in range(max(s + 1, prev_end + 1), last_end + 1):
-                yield from extend(pairs + ((s, e),))
-
-    yield from extend(())
+            continue
+        prev_start, prev_end = pairs[-1]
+        # next start: after this one, not past its end (overlap/touch), and past the end
+        # of the one before the previous (separation); next end: past this one's
+        lo = max(prev_start, pairs[-2][1] if i >= 2 else 0) + 1
+        for s in range(prev_end, lo - 1, -1):
+            for e in range(last_end, prev_end, -1):
+                stack.append(pairs + ((s, e),))

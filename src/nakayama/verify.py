@@ -315,6 +315,7 @@ def _suite(name: str, statement: str):
 _SUITE_FUNCTIONS = {name: _suite(name, statement) for name, (statement, _, _) in _SUITES.items()}
 globals().update({suite.__name__: suite for suite in _SUITE_FUNCTIONS.values()})
 SUITES = tuple(_SUITE_FUNCTIONS)
+_SWEEP_LIMIT = 64  # the largest n run_suites and enumerate take: classes grow ~4x per vertex
 
 
 def run_suites(names, n_max: int, cap=None, jobs: int = 1):
@@ -329,6 +330,8 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     """
     if n_max < 2:
         raise NakayamaError(f"n_max must be at least 2, got {n_max}")
+    if n_max > _SWEEP_LIMIT:
+        raise NakayamaError(f"n_max must be at most {_SWEEP_LIMIT}, got {n_max}")
     names = list(dict.fromkeys(names))
     if not names:
         raise NakayamaError("no theorems selected")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -257,10 +258,21 @@ def test_convert_redundant_exits_1(capsys):
     (("verify", "--n-max", "1"), "n_max must be at least 2, got 1"),
     (("convert", "--relations", "1:2", "--cyclic"), "--relations needs the vertex count -n"),
     (("convert", "--cyclic", "--relations", "1:2", "-n", "99999999999999999999"),
-     f"vertex count 99999999999999999999 exceeds the limit {sys.maxsize}"),
+     "vertex count 99999999999999999999 exceeds the limit 10000000"),
+    # a vertex count that fits a list's length but not memory
+    (("convert", "--cyclic", "--relations", "1:2", "-n", "9223372036854775806"),
+     "vertex count 9223372036854775806 exceeds the limit 10000000"),
+    # sweeps past the limit are refused before anything is enumerated or any task is built
+    (("enumerate", "--linear", "-n", "99999999999999999999"),
+     "enumeration needs 2 <= n <= 64, got 99999999999999999999"),
+    (("enumerate", "--cyclic", "-n", "1500"), "enumeration needs 2 <= n <= 64, got 1500"),
+    (("verify", "--n-max", "99999999999999999999"),
+     "n_max must be at most 64, got 99999999999999999999"),
 ])
 def test_each_usage_error_exits_1_with_its_message(capsys, argv, message):
+    start = time.process_time()
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert time.process_time() - start < 1
 
 
 def test_convert_requires_exactly_one_input(capsys):

@@ -1,5 +1,6 @@
 import copy
 import math
+import time
 
 import pytest
 from hypothesis import given, reject, settings
@@ -27,12 +28,12 @@ from nakayama import (
     relations_to_kupisch,
 )
 from nakayama.core import _canonical_c, _kupisch_c
-from nakayama.enumeration import _chain_pairs
+from nakayama.enumeration import _chain_pairs, _cyclic_with_first, _linear_series
 from nakayama.verify import _census_rows
 from nakayama.errors import NakayamaError
 
 from conftest import input_error
-from oracles import brute_force_cyclic, burnside_cyclic_classes, oracle_is_chain
+from oracles import brute_force_cyclic, brute_force_linear, burnside_cyclic_classes, oracle_is_chain
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,33 @@ def test_enumerations_reject_too_few_vertices():
 def test_enumerations_reject_a_vertex_count_that_is_not_an_integer(enumerate_kind, n):
     with pytest.raises(TypeError):
         list(enumerate_kind(n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_each_generator_yields_in_the_stated_order(n):
+    # the enumeration docstring's order rule, on which the shards, --list and CI digests rest;
+    # the cyclic classes are counted by Burnside, as a brute-force scan takes 40 s at n = 6
+    cap, swept = 3 * n + 1, 0
+    for first in range(2, cap + 1):
+        shard = list(_cyclic_with_first(n, first))
+        assert shard == sorted(set(shard))
+        assert all(c[0] == first and _canonical_c(CYCLIC, c) == c for c in shard)
+        swept += len(shard)
+    assert swept == burnside_cyclic_classes(n, cap)
+    assert list(_linear_series(n)) == sorted(brute_force_linear(n), key=lambda c: c[::-1])
+    for kind in (CYCLIC, LINEAR):
+        for r in range(1, n):
+            pairs = list(_chain_pairs(n, r, kind))
+            assert pairs == sorted(set(pairs))
+            assert len(pairs) == count_closed_form(n, r, kind)
+
+
+def test_the_enumerations_reach_any_depth():
+    # one loop over an explicit stack: no recursion limit, and the first series comes at once
+    start = time.process_time()
+    assert next(enumerate_linear(1500)).c == (2,) * 1499 + (1,)
+    assert next(enumerate_cyclic(1500)).c == (2,) * 1500
+    assert time.process_time() - start < 1
 
 
 def test_enumerate_cyclic_examples():
