@@ -17,6 +17,7 @@ import time
 
 from nakayama import CYCLIC, LINEAR, census
 from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexample
+from nakayama.errors import NakayamaError
 
 
 def main() -> int:
@@ -33,7 +34,10 @@ def main() -> int:
     chunks = []
     for kind, top in ((CYCLIC, args.n_max), (LINEAR, min(args.n_max + 3, 10))):
         start = time.time()
-        table = census(range(2, top + 1), kind, cap=args.cap)
+        try:
+            table = census(range(2, top + 1), kind, cap=args.cap)
+        except NakayamaError as exc:  # an n or a cap out of range, refused before any sweep
+            parser.error(str(exc))
         elapsed = time.time() - start
         counts = table.counts()
         print(f"{kind}: " + ", ".join(f"n={n}: {counts[n]}" for n in sorted(counts))

@@ -18,6 +18,7 @@ from collections import Counter
 
 from nakayama import INFINITE, enumerate_cyclic, epsilon_tower, homology_report
 from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexample
+from nakayama.errors import NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR
 
 
@@ -30,14 +31,21 @@ def main() -> int:
     args = parser.parse_args()
     if args.n_max < 1:  # no algebra to survey, which would read as a clean survey
         parser.error(f"--n-max must be at least 1, got {args.n_max}")
+    try:
+        return survey(args.n_max, args.cap)
+    except NakayamaError as exc:  # the cap, refused at the first enumeration's first step
+        parser.error(str(exc))
 
+
+def survey(n_max, cap) -> int:
+    """Print one line per n <= n_max; 2 when some n has a mismatch, else 0."""
     status = 0
-    for n in range(1, args.n_max + 1):
+    for n in range(1, n_max + 1):
         depths = Counter()
         terminals = Counter()
         mismatches = 0
         total = 0
-        for series in enumerate_cyclic(n, args.cap):
+        for series in enumerate_cyclic(n, cap):
             if series.is_selfinjective:
                 continue
             total += 1

@@ -90,7 +90,7 @@ def enumerate_cyclic(n: int, cap: int | None = None):
 
     Exactly one representative per rotation class is produced; selfinjective
     classes are included (flagged by ``is_selfinjective``).  Default cap is
-    2n - 1; a cap below 2 is raised to 2.
+    2n - 1; a cap below 2 is raised to 2, and a cap above 127 is refused at the first ``next``.
     """
     if n < 1:
         raise NakayamaError(f"need n >= 1, got {n}")
@@ -99,7 +99,12 @@ def enumerate_cyclic(n: int, cap: int | None = None):
             yield KupischSeries(CYCLIC, c)
 
 
+_SWEEP_LIMIT = 64  # the largest n a sweep takes: the cyclic classes grow about 4x per vertex
+
+
 def _cyclic_cap(n: int, cap: int | None) -> int:
+    if cap is not None and cap > 2 * _SWEEP_LIMIT - 1:  # the default cap at the largest sweep
+        raise NakayamaError(f"cap must be at most {2 * _SWEEP_LIMIT - 1}, got {cap}")
     return max(2 * n - 1 if cap is None else cap, 2)
 
 

@@ -24,8 +24,8 @@ from functools import cache, partial
 
 from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, _canonical_c, _kupisch_c,
                    _relation_pairs)
-from .enumeration import (_chain_pairs, _cyclic_cap, _cyclic_with_first, _linear_series,
-                          count_closed_form, fibonacci, is_chain)
+from .enumeration import (_SWEEP_LIMIT, _chain_pairs, _cyclic_cap, _cyclic_with_first,
+                          _linear_series, count_closed_form, fibonacci, is_chain)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from .homology import (INFINITE, _brown_bound, _gldim, _lazy, _module_table, _quasi_hereditary,
@@ -34,11 +34,13 @@ from .homology import (INFINITE, _brown_bound, _gldim, _lazy, _module_table, _qu
 
 
 def _shards(n: int, cap=None) -> list:
-    """The n-vertex enumeration, n >= 2, cut into contiguous shards, in enumeration order.
+    """The n-vertex enumeration cut into contiguous shards, in enumeration order.
 
-    A shard is (kind, first): the cyclic series whose first entry is
-    ``first``, or (LINEAR, 0) for all the linear series.
+    A shard is (kind, first): the cyclic series whose first entry is ``first``, or (LINEAR, 0)
+    for all the linear series.  Every sweep's n is checked here, as its cap in ``_cyclic_cap``.
     """
+    if not 2 <= n <= _SWEEP_LIMIT:  # below 2 there is nothing to sweep, which reads as a pass
+        raise NakayamaError(f"vertex count must be in 2..{_SWEEP_LIMIT}, got {n}")
     return [(CYCLIC, first) for first in range(2, _cyclic_cap(n, cap) + 1)] + [(LINEAR, 0)]
 
 
@@ -285,12 +287,10 @@ def census(ns, kind: str, cap: "int | None" = None) -> CensusTable:
     below 2n-1 is compared as ``_census_rows`` says.  Disagreements go to the
     rows' ``violations``; the homology theorems are left to ``nakayama verify``.
     """
-    rows, ns = [], list(ns)
-    if low := [n for n in ns if n < 2]:  # every n is checked before any is swept
-        raise NakayamaError(f"census needs n >= 2, got {low[0]}")
-    for n in ns:
+    rows, sweeps = [], [(n, _shards(n, cap)) for n in ns]  # every n checked before any sweep
+    for n, shards in sweeps:
         tallies = (_sweep_shard(("fibonacci",), n, kind, first)[1]
-                   for shard_kind, first in _shards(n, cap) if shard_kind == kind)
+                   for shard_kind, first in shards if shard_kind == kind)
         rows.extend(_census_rows(n, kind, cap, tallies))
     return CensusTable(kind, tuple(rows))
 
@@ -304,8 +304,6 @@ def _suite(name: str, statement: str):
     ``suite_chain`` -> ``homology_report``.
     """
     def suite(n: int, cap=None, sweep=None) -> tuple[str, list[str]]:
-        if n < 2:
-            raise NakayamaError(f"n must be at least 2, got {n}")
         return (sweep() if sweep else _results((name,), n, cap))[name]
     suite.__name__ = suite.__qualname__ = "suite_" + name.replace("-", "_")
     suite.__doc__ = statement
@@ -315,7 +313,6 @@ def _suite(name: str, statement: str):
 _SUITE_FUNCTIONS = {name: _suite(name, statement) for name, (statement, _, _) in _SUITES.items()}
 globals().update({suite.__name__: suite for suite in _SUITE_FUNCTIONS.values()})
 SUITES = tuple(_SUITE_FUNCTIONS)
-_SWEEP_LIMIT = 64  # the largest n run_suites and enumerate take: classes grow ~4x per vertex
 
 
 def run_suites(names, n_max: int, cap=None, jobs: int = 1):
@@ -328,10 +325,7 @@ def run_suites(names, n_max: int, cap=None, jobs: int = 1):
     kind, first entry) in enumeration order and calls each suite once per n,
     so the output is identical for any ``jobs``.
     """
-    if n_max < 2:
-        raise NakayamaError(f"n_max must be at least 2, got {n_max}")
-    if n_max > _SWEEP_LIMIT:
-        raise NakayamaError(f"n_max must be at most {_SWEEP_LIMIT}, got {n_max}")
+    _shards(n_max, cap)  # n_max and cap are checked before the names and before any task
     names = list(dict.fromkeys(names))
     if not names:
         raise NakayamaError("no theorems selected")

@@ -255,7 +255,7 @@ def test_convert_redundant_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("verify", "--n-max", "1"), "n_max must be at least 2, got 1"),
+    (("verify", "--n-max", "1"), "vertex count must be in 2..64, got 1"),
     (("convert", "--relations", "1:2", "--cyclic"), "--relations needs the vertex count -n"),
     (("convert", "--cyclic", "--relations", "1:2", "-n", "99999999999999999999"),
      "vertex count 99999999999999999999 exceeds the limit 10000000"),
@@ -264,10 +264,15 @@ def test_convert_redundant_exits_1(capsys):
      "vertex count 9223372036854775806 exceeds the limit 10000000"),
     # sweeps past the limit are refused before anything is enumerated or any task is built
     (("enumerate", "--linear", "-n", "99999999999999999999"),
-     "enumeration needs 2 <= n <= 64, got 99999999999999999999"),
-    (("enumerate", "--cyclic", "-n", "1500"), "enumeration needs 2 <= n <= 64, got 1500"),
+     "vertex count must be in 2..64, got 99999999999999999999"),
+    (("enumerate", "--cyclic", "-n", "1500"), "vertex count must be in 2..64, got 1500"),
     (("verify", "--n-max", "99999999999999999999"),
-     "n_max must be at most 64, got 99999999999999999999"),
+     "vertex count must be in 2..64, got 99999999999999999999"),
+    # a cap past the limit is refused before any shard list of its length is built
+    (("verify", "--n-max", "3", "--cap", "1000000000000000"),
+     "cap must be at most 127, got 1000000000000000"),
+    (("enumerate", "--cyclic", "-n", "3", "--cap", "1000000000000000"),
+     "cap must be at most 127, got 1000000000000000"),
 ])
 def test_each_usage_error_exits_1_with_its_message(capsys, argv, message):
     start = time.process_time()

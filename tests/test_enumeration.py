@@ -29,7 +29,7 @@ from nakayama import (
 )
 from nakayama.core import _canonical_c, _kupisch_c
 from nakayama.enumeration import _chain_pairs, _cyclic_with_first, _linear_series
-from nakayama.verify import _census_rows
+from nakayama.verify import _census_rows, _shards
 from nakayama.errors import NakayamaError
 
 from conftest import input_error
@@ -58,6 +58,20 @@ def test_enumerations_reject_too_few_vertices():
         list(enumerate_linear(1))  # a generator: it checks on the first next()
     with input_error("need n >= 1, got 0"):
         list(enumerate_cyclic(0))
+
+
+def test_enumerate_cyclic_refuses_a_cap_above_127_at_the_first_next():
+    # 127 = 2n - 1 at the largest swept n; past it the work grows with the cap alone
+    assert max(series.c[0] for series in enumerate_cyclic(2, 127)) == 127
+    assert _shards(3, 127)[-2:] == [(CYCLIC, 127), (LINEAR, 0)]
+    for cap in (128, 10**15):
+        start = time.process_time()
+        stream = enumerate_cyclic(3, cap)
+        with input_error(f"cap must be at most 127, got {cap}"):
+            next(stream)
+        with input_error(f"cap must be at most 127, got {cap}"):
+            _shards(3, cap)
+        assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("enumerate_kind", [enumerate_linear, enumerate_cyclic])

@@ -59,16 +59,23 @@ def test_tower_survey_cap_adds_only_infinite_global_dimension(tower_survey, monk
     assert survey("--cap", "12") == ([10, 29, 84], [1, 4, 15])
 
 
-@pytest.mark.parametrize("name, n_max, message", [
+@pytest.mark.parametrize("name, n_max, message", [  # n_max: --n-max's value, then any more args
     pytest.param("fibonacci_census", "x", "invalid int value: 'x'", id="fibonacci_census"),
     pytest.param("tower_survey", "x", "invalid int value: 'x'", id="tower_survey"),
     # a range that sweeps nothing would read as a clean table
     ("fibonacci_census", "1", "--n-max must be at least 2, got 1"),
     ("fibonacci_census", "-4", "--n-max must be at least 2, got -4"),
     ("tower_survey", "0", "--n-max must be at least 1, got 0"),
+    # a size past the library's limits, refused before any sweep
+    ("fibonacci_census", "65", "vertex count must be in 2..64, got 65"),
+    ("fibonacci_census", "99999999999999999999",
+     "vertex count must be in 2..64, got 65"),  # the range stops at its first n past 64
+    ("fibonacci_census", "7 --cap 1000000000000000",
+     "cap must be at most 127, got 1000000000000000"),
+    ("tower_survey", "6 --cap 1000000000000000", "cap must be at most 127, got 1000000000000000"),
 ])
 def test_scripts_exit_1_on_a_usage_error(name, n_max, message, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--n-max", n_max])
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--n-max", *n_max.split()])
     with pytest.raises(SystemExit) as exc:
         load_script(name).main()
     assert exc.value.code == 1  # 2 would read as a counterexample

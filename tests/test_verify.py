@@ -1,7 +1,8 @@
 import multiprocessing
 import os
+import time
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -92,15 +93,30 @@ def test_run_suites_rejects_an_empty_list_and_jobs_below_one():
 def test_each_suite_function_rejects_n_below_two(name):
     # below n = 2 there is no algebra to sweep, which would read as a clean pass
     for n in (1, 0):
-        with pytest.raises(NakayamaError, match=f"^n must be at least 2, got {n}$"):
+        with pytest.raises(NakayamaError, match=rf"^vertex count must be in 2\.\.64, got {n}$"):
             _SUITE_FUNCTIONS[name](n)
 
 
 def test_run_suites_rejects_n_max_below_two_before_the_names():
     # below n = 2 there is no algebra to sweep, which would read as a clean pass
     for names in (SUITES, [], ["bogus"]):
-        with pytest.raises(NakayamaError, match="n_max must be at least 2, got 1"):
+        with pytest.raises(NakayamaError, match=r"vertex count must be in 2\.\.64, got 1"):
             run_suites(names, 1)
+
+
+@pytest.mark.parametrize("call", [
+    *(pytest.param(partial(_SUITE_FUNCTIONS[name], 65), id=f"{name}-65") for name in SUITES),
+    pytest.param(partial(census, range(2, 10**20), CYCLIC), id="census-n-beyond-any-list"),
+    pytest.param(partial(run_suites, ["chain"], 3, cap=10**15), id="run_suites-cap"),
+    pytest.param(partial(census, [3], CYCLIC, cap=10**15), id="census-cap"),
+])
+def test_each_oversized_sweep_is_refused_within_a_second(call):
+    # past the limits the work grows without bound; the refusal comes before any of it
+    start = time.process_time()
+    with pytest.raises(NakayamaError, match=r"^(vertex count must be in 2\.\.64, got 65|"
+                                             r"cap must be at most 127, got 10{15})$"):
+        call()
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -358,8 +374,12 @@ def test_census_checks_every_n_before_it_sweeps_any(monkeypatch):
         return _sweep_shard(*task)
 
     monkeypatch.setattr(nakayama.verify, "_sweep_shard", counted)
-    with pytest.raises(NakayamaError, match="census needs n >= 2, got 1"):
+    with pytest.raises(NakayamaError, match=r"vertex count must be in 2\.\.64, got 1"):
         census([7, 1], CYCLIC)
+    start = time.process_time()
+    with pytest.raises(NakayamaError, match=r"vertex count must be in 2\.\.64, got 65"):
+        census([7, 65], CYCLIC)
+    assert time.process_time() - start < 1
     assert calls == []
 
 
