@@ -4,8 +4,8 @@
 Counts, per vertex count n, the isomorphism classes of connected Nakayama
 algebras that are quasi-hereditary with global dimension attaining Brown's
 bound, cross-checked against chain enumeration, binomial closed forms, and
-Fibonacci numbers.  Writes the combined table as CSV.  Exits 2 when the
-routes disagree (a counterexample) and 1 on a usage error.
+Fibonacci numbers.  Writes the combined table as CSV.  Exits as ``nakayama``
+does: 2 when the routes disagree (a counterexample), 1 on a usage error.
 
 Usage:
   python scripts/fibonacci_census.py --n-max 7
@@ -16,8 +16,7 @@ import sys
 import time
 
 from nakayama import CYCLIC, LINEAR, census
-from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexample
-from nakayama.errors import NakayamaError
+from nakayama.cli import _Parser, _run  # the CLI's usage errors and exit codes
 
 
 def main() -> int:
@@ -30,14 +29,14 @@ def main() -> int:
     args = parser.parse_args()
     if args.n_max < 2:  # no algebra to count, which would read as a clean table
         parser.error(f"--n-max must be at least 2, got {args.n_max}")
+    return _run(tabulate, args.n_max, args.cap, args.out)
 
+
+def tabulate(n_max, cap, out) -> int:
     chunks = []
-    for kind, top in ((CYCLIC, args.n_max), (LINEAR, min(args.n_max + 3, 10))):
+    for kind, top in ((CYCLIC, n_max), (LINEAR, min(n_max + 3, 10))):
         start = time.time()
-        try:
-            table = census(range(2, top + 1), kind, cap=args.cap)
-        except NakayamaError as exc:  # an n or a cap out of range, refused before any sweep
-            parser.error(str(exc))
+        table = census(range(2, top + 1), kind, cap=cap)
         elapsed = time.time() - start
         counts = table.counts()
         print(f"{kind}: " + ", ".join(f"n={n}: {counts[n]}" for n in sorted(counts))
@@ -51,10 +50,10 @@ def main() -> int:
     merged = chunks[0] + "".join(
         "\n".join(chunk.splitlines()[1:]) + "\n" for chunk in chunks[1:]
     )
-    if args.out:
-        with open(args.out, "w") as handle:
+    if out:
+        with open(out, "w") as handle:
             handle.write(merged)
-        print(f"wrote {args.out}", file=sys.stderr)
+        print(f"wrote {out}", file=sys.stderr)
     else:
         print(merged, end="")
     return 0

@@ -4,9 +4,9 @@
 Tabulates, per vertex count, how deep the iterated syzygy-filtered
 reduction goes before terminating and how often each terminal occurs,
 split by finite versus infinite global dimension.  A quick way to see the
-finite/infinite dichotomy in action.  Exits 2 when some n has a class
-whose terminal disagrees with its global dimension (linear exactly when
-finite), and 1 on a usage error.
+finite/infinite dichotomy in action.  Exits as ``nakayama`` does: 2 when
+some n has a class whose terminal disagrees with its global dimension
+(linear exactly when finite), 1 on a usage error.
 
 Usage:
   python scripts/tower_survey.py --n-max 6
@@ -17,9 +17,9 @@ import sys
 from collections import Counter
 
 from nakayama import INFINITE, enumerate_cyclic, epsilon_tower, homology_report
-from nakayama.cli import _Parser  # usage errors exit 1; 2 means a counterexample
-from nakayama.errors import NakayamaError
+from nakayama.cli import _Parser, _run  # the CLI's usage errors and exit codes
 from nakayama.filtration import TERMINAL_LINEAR
+from nakayama.verify import _shards
 
 
 def main() -> int:
@@ -31,15 +31,14 @@ def main() -> int:
     args = parser.parse_args()
     if args.n_max < 1:  # no algebra to survey, which would read as a clean survey
         parser.error(f"--n-max must be at least 1, got {args.n_max}")
-    try:
-        return survey(args.n_max, args.cap)
-    except NakayamaError as exc:  # the cap, refused at the first enumeration's first step
-        parser.error(str(exc))
+    return _run(survey, args.n_max, args.cap)
 
 
 def survey(n_max, cap) -> int:
-    """Print one line per n <= n_max; 2 when some n has a mismatch, else 0."""
-    status = 0
+    """Print one line per n <= n_max once all are computed; 2 on a mismatch, else 0."""
+    for n in range(2, n_max + 1):  # each n and the cap checked before any sweep, as in census
+        _shards(n, cap)
+    lines, status = [], 0
     for n in range(1, n_max + 1):
         depths = Counter()
         terminals = Counter()
@@ -57,10 +56,11 @@ def survey(n_max, cap) -> int:
                 mismatches += 1
         depth_txt = " ".join(f"d{d}:{c}" for d, c in sorted(depths.items()))
         term_txt = " ".join(f"{t}:{c}" for t, c in sorted(terminals.items()))
-        print(f"n={n}: {total} non-selfinjective classes | {term_txt} | {depth_txt}"
-              + (f" | MISMATCHES {mismatches}" if mismatches else ""))
+        lines.append(f"n={n}: {total} non-selfinjective classes | {term_txt} | {depth_txt}"
+                     + (f" | MISMATCHES {mismatches}" if mismatches else ""))
         if mismatches:
             status = 2
+    print("\n".join(lines))  # a bug on the way leaves stdout empty, as in the CLI
     return status
 
 

@@ -27,6 +27,7 @@ Usage examples
 Exit codes: 0 success, 1 usage or input error, 2 theorem violation found, 3 internal
 error (any exception but an input error, so a bug in this package; traceback on stderr),
 141 (128 + SIGPIPE) when the reader closes stdout before it is written, as in ``| head -1``.
+``_run`` is this contract's one home: ``main`` and each experiment script end in it.
 """
 
 from __future__ import annotations
@@ -249,8 +250,12 @@ def main(argv=None) -> int:
         args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    return _run(args.func, args)
+
+
+def _run(func, *args) -> int:  # func(*args)'s exit code, under the contract above
     try:
-        code = args.func(args)
+        code = func(*args)
         sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
         return code
     except BrokenPipeError:

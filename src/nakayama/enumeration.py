@@ -90,7 +90,7 @@ def enumerate_cyclic(n: int, cap: int | None = None):
 
     Exactly one representative per rotation class is produced; selfinjective
     classes are included (flagged by ``is_selfinjective``).  Default cap is
-    2n - 1; a cap below 2 is raised to 2, and a cap above 127 is refused at the first ``next``.
+    2n - 1, raised to 2 at n = 1; a cap outside 2..127 is refused at the first ``next``.
     """
     if n < 1:
         raise NakayamaError(f"need n >= 1, got {n}")
@@ -103,9 +103,13 @@ _SWEEP_LIMIT = 64  # the largest n a sweep takes: the cyclic classes grow about 
 
 
 def _cyclic_cap(n: int, cap: int | None) -> int:
-    if cap is not None and cap > 2 * _SWEEP_LIMIT - 1:  # the default cap at the largest sweep
+    if cap is None:
+        return max(2 * n - 1, 2)  # n = 1: its one class, (2,)
+    if cap < 2:  # no entry fits; raising it would list entries above the cap given
+        raise NakayamaError(f"cap must be at least 2, got {cap}")
+    if cap > 2 * _SWEEP_LIMIT - 1:  # the default cap at the largest sweep
         raise NakayamaError(f"cap must be at most {2 * _SWEEP_LIMIT - 1}, got {cap}")
-    return max(2 * n - 1 if cap is None else cap, 2)
+    return cap
 
 
 def _cyclic_with_first(n: int, first: int):

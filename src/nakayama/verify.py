@@ -288,6 +288,8 @@ def census(ns, kind: str, cap: "int | None" = None) -> CensusTable:
     rows' ``violations``; the homology theorems are left to ``nakayama verify``.
     """
     rows, sweeps = [], [(n, _shards(n, cap)) for n in ns]  # every n checked before any sweep
+    if not sweeps:  # an empty table would read as a clean census
+        raise NakayamaError("no vertex count to census")
     for n, shards in sweeps:
         tallies = (_sweep_shard(("fibonacci",), n, kind, first)[1]
                    for shard_kind, first in shards if shard_kind == kind)

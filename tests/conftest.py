@@ -1,4 +1,6 @@
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -11,6 +13,25 @@ from nakayama import (CYCLIC, LINEAR, KupischSeries, UniserialModule, enumerate_
 from nakayama.errors import NakayamaError
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_child(*args, **kwargs):
+    """``python args`` with the package importable and stdout block-buffered, as in a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+def run_with_stdout_closed(*args):
+    """``run_child(*args)`` writing to a pipe whose reader is gone before it writes a byte."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return run_child(*args, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
 
 
 def stand_in(real, **planted):

@@ -1,18 +1,14 @@
 import json
-import os
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 import nakayama.cli as cli_mod
 import nakayama.verify as verify_mod
+from conftest import run_child, run_with_stdout_closed
 from nakayama.cli import main
 from nakayama.errors import InternalError, NakayamaError
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -273,6 +269,9 @@ def test_convert_redundant_exits_1(capsys):
      "cap must be at most 127, got 1000000000000000"),
     (("enumerate", "--cyclic", "-n", "3", "--cap", "1000000000000000"),
      "cap must be at most 127, got 1000000000000000"),
+    # a cap below 2 fits no entry; raised to 2, it would list entries above the cap given
+    (("enumerate", "--cyclic", "-n", "3", "--cap", "1", "--list"), "cap must be at least 2, got 1"),
+    (("verify", "--n-max", "3", "--cap", "-5"), "cap must be at least 2, got -5"),
 ])
 def test_each_usage_error_exits_1_with_its_message(capsys, argv, message):
     start = time.process_time()
@@ -346,31 +345,19 @@ def test_the_console_entry_reads_sys_argv_and_builds_one_subcommand(capsys, monk
 # the process
 # ---------------------------------------------------------------------------
 
-def _child(*args, **kwargs):
-    """``python args`` with the package importable and stdout block-buffered, as in a pipe."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
-
-
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--cyclic", "-n", "3"],  # one short line, first written by main's flush
     ["enumerate", "--linear", "-n", "9", "--filter", "maximal", "--list"],  # 11 kB, by print
 ])
 def test_a_closed_stdout_exits_141_without_a_word(argv):
-    read, write = os.pipe()
-    os.close(read)  # the reader is gone before the child writes a byte
-    try:
-        child = _child("-m", "nakayama.cli", *argv, stdout=write, stderr=subprocess.PIPE)
-    finally:
-        os.close(write)
+    child = run_with_stdout_closed("-m", "nakayama.cli", *argv)
     assert (child.returncode, child.stderr) == (141, b"")
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():
     # only a pooled verify run imports it
     code = "import sys, nakayama.cli; print('multiprocessing' in sys.modules)"
-    assert _child("-c", code, capture_output=True, text=True, check=True).stdout == "False\n"
+    assert run_child("-c", code, capture_output=True, text=True, check=True).stdout == "False\n"
 
 
 def test_a_run_without_a_bug_leaves_traceback_unimported():
@@ -378,5 +365,5 @@ def test_a_run_without_a_bug_leaves_traceback_unimported():
     code = ("import sys, nakayama.cli as cli; codes = [cli.main(['convert', '--cyclic', *argv])"
             " for argv in (['--kupisch', '3,2,2'], ['--kupisch', '3,1'])];"
             " print(codes, 'traceback' in sys.modules)")
-    child = _child("-c", code, capture_output=True, text=True, check=True)
+    child = run_child("-c", code, capture_output=True, text=True, check=True)
     assert child.stdout.splitlines()[-1] == "[0, 1] False"

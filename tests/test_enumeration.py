@@ -123,11 +123,11 @@ def test_enumerate_cyclic_emits_canonical_forms_only():
 
 def test_enumerate_cyclic_covers_every_rotation_class():
     for n in range(1, 6):
-        cap = 2 * n - 1
+        cap = 2 * n - 1  # the default cap, raised to 2 at n = 1
         expected = {
             canonical_form_of(c) for c in brute_force_cyclic(n, max(cap, 2))
         }
-        produced = {s.c for s in enumerate_cyclic(n, cap)}
+        produced = {s.c for s in enumerate_cyclic(n)}
         assert produced == expected
 
 

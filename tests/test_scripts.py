@@ -2,11 +2,12 @@ import dataclasses
 import importlib.util
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import stand_in
+from conftest import run_with_stdout_closed, stand_in
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -73,14 +74,45 @@ def test_tower_survey_cap_adds_only_infinite_global_dimension(tower_survey, monk
     ("fibonacci_census", "7 --cap 1000000000000000",
      "cap must be at most 127, got 1000000000000000"),
     ("tower_survey", "6 --cap 1000000000000000", "cap must be at most 127, got 1000000000000000"),
+    ("tower_survey", "65", "vertex count must be in 2..64, got 65"),
+    ("tower_survey", "99999999999999999999", "vertex count must be in 2..64, got 65"),
 ])
 def test_scripts_exit_1_on_a_usage_error(name, n_max, message, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", "--n-max", *n_max.split()])
-    with pytest.raises(SystemExit) as exc:
-        load_script(name).main()
-    assert exc.value.code == 1  # 2 would read as a counterexample
+    start = time.process_time()
+    try:
+        code = load_script(name).main()  # a library refusal, returned by cli._run
+    except SystemExit as exc:  # the parser's own refusal
+        code = exc.code
+    assert code == 1  # 2 would read as a counterexample
+    assert time.process_time() - start < 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name, planted", [
+    ("fibonacci_census", "census"), ("tower_survey", "epsilon_tower")])
+def test_scripts_exit_3_on_a_bug(name, planted, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--n-max", "4"])
+    script = load_script(name)
+
+    def broken(*args, **kwargs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(script, planted, broken)
+    assert script.main() == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.splitlines()[-1] == "internal error: 'planted'"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["fibonacci_census", "tower_survey"])
+def test_scripts_exit_141_on_a_closed_stdout(name):
+    child = run_with_stdout_closed(str(SCRIPTS / f"{name}.py"), "--n-max", "4")
+    assert child.returncode == 141
+    # the census still writes its timing lines to stderr, but never a traceback
+    assert all(line.startswith((b"cyclic: ", b"linear: ")) for line in child.stderr.splitlines())
 
 
 def test_fibonacci_census_exits_2_on_a_disagreement(monkeypatch, capsys):

@@ -119,9 +119,28 @@ def test_each_oversized_sweep_is_refused_within_a_second(call):
     assert time.process_time() - start < 1
 
 
+@pytest.mark.parametrize("call, cap", [
+    (lambda cap: next(enumerate_cyclic(3, cap)), 1),  # a generator: it checks on the first next
+    (lambda cap: _shards(3, cap), 0),
+    (lambda cap: run_suites(["chain"], 3, cap=cap), -5),
+    (lambda cap: census([3], CYCLIC, cap), 1),
+], ids=["enumerate_cyclic", "_shards", "run_suites", "census"])
+def test_a_cap_below_two_is_refused(call, cap):
+    # no entry fits it; raised to 2, as it once was, it lists entries above the cap given
+    with pytest.raises(NakayamaError, match=rf"^cap must be at least 2, got {cap}$"):
+        call(cap)
+
+
+@pytest.mark.parametrize("ns, kind", [(range(2, 2), CYCLIC), ([], LINEAR)])
+def test_census_refuses_an_empty_range_of_n(ns, kind):
+    # an empty table, with no rows and no violations, would read as a clean census
+    with pytest.raises(NakayamaError, match="^no vertex count to census$"):
+        census(ns, kind)
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_shards_concatenate_to_the_enumeration(n):
-    for cap in (None, 1, 2, 3, n, 2 * n + 2):
+    for cap in (None, 2, 3, n, 2 * n + 2):
         shards = _shards(n, cap)
         cyclic = [first for kind, first in shards if kind == CYCLIC]
         assert [kind for kind, _ in shards] == [CYCLIC] * len(cyclic) + [LINEAR]
