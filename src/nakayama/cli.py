@@ -24,9 +24,10 @@ Usage examples
   nakayama verify --theorems fibonacci,chain --n-max 5
   nakayama convert --relations "1:2;2:3" -n 4 --cyclic
 
-Exit codes: 0 success, 1 usage or input error, 2 theorem violation found, 3 internal
-error (any exception but an input error, so a bug in this package; traceback on stderr),
-141 (128 + SIGPIPE) when the reader closes stdout before it is written, as in ``| head -1``.
+Exit codes: 0 success, 1 usage or input error, or an output that cannot be written (a missing
+``--out`` directory, a full disk), 2 theorem violation found, 3 internal error (any exception
+but an input error, so a bug in this package; traceback on stderr), 141 (128 + SIGPIPE) when
+the reader closes stdout before it is written, as in ``| head -1``.
 ``_run`` is this contract's one home: ``main`` and each experiment script end in it.
 """
 
@@ -258,10 +259,11 @@ def _run(func, *args) -> int:  # func(*args)'s exit code, under the contract abo
         code = func(*args)
         sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
         return code
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush too
-        return 141
-    except NakayamaError as exc:
+    except (NakayamaError, OSError) as exc:  # a refused input, or an output that cannot be written
+        if isinstance(exc, OSError) and exc.filename is None:  # no file named, so stdout failed:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush too
+        if isinstance(exc, BrokenPipeError):  # a closed pipe, as in | head -1: not a word
+            return 141
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a bug: InternalError or any builtin exception

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -352,6 +354,15 @@ def test_the_console_entry_reads_sys_argv_and_builds_one_subcommand(capsys, monk
 def test_a_closed_stdout_exits_141_without_a_word(argv):
     child = run_with_stdout_closed("-m", "nakayama.cli", *argv)
     assert (child.returncode, child.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_1_with_one_line():
+    # an output that cannot be written is not a bug: exit 1, not 3, and no traceback
+    with open("/dev/full", "wb") as full:
+        child = run_child("-m", "nakayama.cli", "enumerate", "--cyclic", "-n", "3",
+                          stdout=full, stderr=subprocess.PIPE)
+    assert (child.returncode, child.stderr) == (1, b"error: [Errno 28] No space left on device\n")
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():

@@ -120,15 +120,18 @@ def test_fibonacci_census_exits_2_on_a_disagreement(monkeypatch, capsys):
     script = load_script("fibonacci_census")
     real = script.census
 
-    def disagreeing(ns, kind, cap=None):
+    def disagreeing(ns, kind, cap=None):  # a different violation in each kind
         table = real(ns, kind, cap)
-        last = dataclasses.replace(table.rows[-1], violations=("n=3 cyclic: planted",))
+        last = dataclasses.replace(table.rows[-1], violations=(f"n={ns[-1]} {kind}: planted",))
         return dataclasses.replace(table, rows=table.rows[:-1] + (last,))
 
     monkeypatch.setattr(script, "census", disagreeing)
     assert script.main() == 2
     captured = capsys.readouterr()
-    assert "!! n=3 cyclic: planted" in captured.err and captured.out == ""
+    # the linear census still runs after the cyclic one disagrees, so neither hides the other's
+    flagged = [line for line in captured.err.splitlines() if "!!" in line]
+    assert flagged == ["  !! n=3 cyclic: planted", "  !! n=6 linear: planted"]
+    assert captured.out == ""
 
 
 def test_fibonacci_census_out_writes_the_bytes_stdout_would_get(monkeypatch, capsys, tmp_path):
@@ -143,3 +146,13 @@ def test_fibonacci_census_out_writes_the_bytes_stdout_would_get(monkeypatch, cap
     assert printed and out.read_bytes() == printed.encode()
     assert captured.out == ""
     assert f"wrote {out}" in captured.err.splitlines()
+
+
+def test_fibonacci_census_exits_1_when_its_out_cannot_be_written(monkeypatch, capsys, tmp_path):
+    # the user's path, not a bug: exit 1 with one line, not 3 with a traceback
+    out = tmp_path / "missing" / "x.csv"
+    monkeypatch.setattr(sys, "argv", ["fibonacci_census.py", "--n-max", "3", "--out", str(out)])
+    assert load_script("fibonacci_census").main() == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: [Errno 2]")
