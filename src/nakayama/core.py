@@ -111,8 +111,20 @@ def canonical_form(series: KupischSeries) -> KupischSeries:
 
 
 def _canonical_c(kind: str, c: tuple) -> tuple:
-    """The c of ``canonical_form``: its greatest rotation when cyclic, else c itself."""
-    return max(c[j:] + c[:j] for j in range(len(c))) if kind == CYCLIC else c
+    """The c of ``canonical_form``: its greatest rotation when cyclic, else c itself.
+
+    Linear time: a two-pointer scan for Booth's least rotation (Inf. Process. Lett. 1980), order
+    reversed.  Where rotations i < j differ after k equal entries, the smaller and its next k lose.
+    """
+    if kind != CYCLIC:
+        return c
+    n, i, j, k = len(c), 0, 1, 0  # i leads, and each rotation before j but i has lost
+    while j < n and k < n:  # k = n: c is periodic, and rotations i and j are equal
+        if (a := c[(i + k) % n]) == (b := c[(j + k) % n]):
+            k += 1
+        else:
+            i, j, k = (j, max(j, i + k) + 1, 0) if a < b else (i, j + k + 1, 0)
+    return c[i:] + c[:i]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +240,8 @@ def _relation_pairs(c: tuple) -> list:
     The one home of that rule, read straight from c: ``kupisch_to_relations``
     validates the pairs as a ``RelationSystem``; the verify sweep reads them bare.
     """
-    return [(v, v + a - 1) for v, (a, b) in enumerate(zip(c, c[1:] + c[:1]), 1) if 1 < a <= b]
+    n = len(c)
+    return [(v + 1, v + a) for v, a in enumerate(c) if 1 < a <= c[(v + 1) % n]]
 
 
 def kupisch_to_relations(series: KupischSeries) -> RelationSystem:

@@ -23,7 +23,12 @@ a ``ChainSystem``.  The third route, the brute-force tally of
 Each generator is one loop over a stack of partial tuples that pushes a tuple's children in
 reverse, so a cyclic shard comes out in increasing lexicographic order, ``_linear_series`` in
 increasing order of the reversed tuple and ``_chain_pairs`` in increasing order of the pair
-tuples; the shards, ``--list`` and pinned digests rest on this order.  The stack holds
+tuples; the shards, ``--list`` and pinned digests rest on this order.  A cyclic shard builds
+only prefixes of canonical forms, by the necklace rule of Fredricksen, Kessler and Maiorana
+(Ruskey, Savage and Wang, J. Algorithms 1992) with the order reversed: a prefix of length m and
+period p (prefix[i] == prefix[i - p] for every i >= p) has the children prefix[m - p] down to
+the step rule's floor, the first keeps p and each smaller one sets p = m + 1, and a full tuple
+is yielded iff n % p == 0.  The stack, whose cyclic entries carry p, still holds
 O(depth x branching) tuples, so the generators are lazy and unbounded at any n.
 """
 
@@ -115,21 +120,18 @@ def _cyclic_cap(n: int, cap: int | None) -> int:
 def _cyclic_with_first(n: int, first: int):
     """The c of the canonical cyclic series with n vertices whose first (largest) entry is
     ``first``; every step keeps c_{v+1} >= c_v - 1, the wrap c_1 = first >= c_n too: unvalidated.
+
+    The step rule loses no class of the period rule (module docstring): it is rotation-invariant
+    and holds at the wrap, c_1 being the maximum: it only removes children; p depends on the tuple.
     """
-
-    def is_canonical(c):
-        # c starts with its maximum; compare against rotations that also do
-        for j in range(1, n):
-            if c[j] == first and c[j:] + c[:j] > c:
-                return False
-        return True
-
-    stack = [(first,)]
+    stack = [((first,), 1)]
     while stack:
-        prefix = stack.pop()
-        if len(prefix) < n:  # canonical forms start with the maximum entry, so never exceed it
-            stack.extend(prefix + (v,) for v in range(first, max(2, prefix[-1] - 1) - 1, -1))
-        elif is_canonical(prefix):
+        prefix, p = stack.pop()
+        if (m := len(prefix)) < n:  # entries never exceed prefix[m - p] <= first
+            top = prefix[m - p]
+            stack.extend((prefix + (v,), p if v == top else m + 1)
+                         for v in range(top, max(2, prefix[-1] - 1) - 1, -1))
+        elif n % p == 0:
             yield prefix
 
 

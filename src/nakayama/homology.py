@@ -232,8 +232,8 @@ class HomologyReport:
 
     @property
     def lambda_one(self) -> int:
-        """Number of simples with pd != 1 (Brown's lambda): ``lam[1]``, or n when 1 is not a pd."""
-        return self.lam.get(1, len(self.pd_simple))
+        """Number of simples with pd != 1 (Brown's lambda): ``lam.get(1, n)``, counted directly."""
+        return len(self.pd_simple) - self.pd_simple.count(1)
 
     @property
     def brown_bound(self) -> int:

@@ -291,6 +291,21 @@ def brute_force_cyclic(n: int, cap: int):
             yield c
 
 
+def oracle_canonical_c(c: tuple) -> tuple:
+    """The greatest of the n rotations of c, each built and compared whole: quadratic in n."""
+    return max(c[j:] + c[:j] for j in range(len(c)))
+
+
+def brute_force_cyclic_shard(n: int, first: int) -> list:
+    """The canonical cyclic series with n entries whose first entry is ``first``, sorted: every
+    tuple that starts with ``first`` and keeps the step rule with entries in 2..first (so the
+    wrap step holds too), filtered to those that equal their greatest rotation."""
+    tuples = [(first,)]
+    for _ in range(n - 1):
+        tuples = [t + (v,) for t in tuples for v in range(max(2, t[-1] - 1), first + 1)]
+    return sorted(c for c in tuples if oracle_canonical_c(c) == c)
+
+
 def brute_force_linear(n: int):
     """Every valid connected linear tuple, by unfiltered product scan."""
     for head in itertools.product(range(2, n + 1), repeat=n - 1):

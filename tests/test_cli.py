@@ -281,6 +281,16 @@ def test_each_usage_error_exits_1_with_its_message(capsys, argv, message):
     assert time.process_time() - start < 1
 
 
+def test_convert_answers_in_time_linear_in_n(capsys):
+    # one relation (1, 2) leaves c_2 = n + 1 down to c_1 = 2; the greatest rotation starts at
+    # vertex 2, found by a linear scan where the n rotations' max was quadratic
+    n = 100_000
+    start = time.process_time()
+    code, out, _ = run(capsys, "convert", "--cyclic", "--relations", "1:2", "-n", str(n))
+    assert time.process_time() - start < 2
+    assert (code, out) == (0, ",".join(map(str, range(n + 1, 1, -1))) + "\n")
+
+
 def test_convert_requires_exactly_one_input(capsys):
     assert run(capsys, "convert", "--cyclic")[0] == 1
     assert run(capsys, "convert", "--cyclic", "--kupisch", "3,2,2",

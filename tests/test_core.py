@@ -22,8 +22,8 @@ from nakayama import (
     syzygy,
     validate,
 )
-from nakayama.core import (_relation_pairs, format_kupisch, format_relations, parse_kupisch,
-                           parse_relations)
+from nakayama.core import (_canonical_c, _relation_pairs, format_kupisch, format_relations,
+                           parse_kupisch, parse_relations)
 from nakayama.errors import InternalError, NakayamaError
 
 import oracles
@@ -31,6 +31,7 @@ from conftest import any_series, cyclic_series, enumerated_series, input_error, 
 from oracles import (
     brute_force_cyclic,
     brute_force_linear,
+    oracle_canonical_c,
     oracle_redundant,
     oracle_relations,
     oracle_relations_to_kupisch,
@@ -148,6 +149,24 @@ def test_canonical_rotation_invariant_and_idempotent(series):
         assert canonical_form(rotation).c == canon.c
     # the canonical form is one of the rotations
     assert canon.c in {rotation.c for rotation in rotations}
+
+
+def test_canonical_scan_matches_the_greatest_rotation_on_every_rotation():
+    for series in enumerated_series():
+        if series.kind == CYCLIC and series.n <= 6:
+            c = series.c
+            for j in range(series.n):
+                rotation = c[j:] + c[:j]
+                assert _canonical_c(CYCLIC, rotation) == oracle_canonical_c(rotation), rotation
+
+
+@given(cyclic_series(max_n=5, max_entry=12), st.integers(1, 4), st.integers(0, 19))
+@settings(max_examples=300)
+def test_canonical_scan_matches_the_greatest_rotation_on_periodic_series(series, copies, shift):
+    # a repeated cyclic series is one too; its equal rotations end the scan at k = n
+    c = series.c * copies
+    rotation = c[shift % len(c):] + c[:shift % len(c)]
+    assert _canonical_c(CYCLIC, rotation) == oracle_canonical_c(rotation)
 
 
 # ---------------------------------------------------------------------------

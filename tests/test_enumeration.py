@@ -33,7 +33,8 @@ from nakayama.verify import _census_rows, _shards
 from nakayama.errors import NakayamaError
 
 from conftest import input_error
-from oracles import brute_force_cyclic, brute_force_linear, burnside_cyclic_classes, oracle_is_chain
+from oracles import (brute_force_cyclic, brute_force_cyclic_shard, brute_force_linear,
+                     burnside_cyclic_classes, oracle_canonical_c, oracle_is_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,14 @@ def test_each_generator_yields_in_the_stated_order(n):
             assert len(pairs) == count_closed_form(n, r, kind)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_each_cyclic_shard_is_the_rotation_filtered_brute_force(n):
+    # the period rule builds only prefixes of canonical forms: none is lost, none comes twice,
+    # and the order is the brute force's sorted order
+    for first in range(2, 3 * n + 2):
+        assert list(_cyclic_with_first(n, first)) == brute_force_cyclic_shard(n, first)
+
+
 def test_the_enumerations_reach_any_depth():
     # one loop over an explicit stack: no recursion limit, and the first series comes at once
     start = time.process_time()
@@ -125,7 +134,7 @@ def test_enumerate_cyclic_covers_every_rotation_class():
     for n in range(1, 6):
         cap = 2 * n - 1  # the default cap, raised to 2 at n = 1
         expected = {
-            canonical_form_of(c) for c in brute_force_cyclic(n, max(cap, 2))
+            oracle_canonical_c(c) for c in brute_force_cyclic(n, max(cap, 2))
         }
         produced = {s.c for s in enumerate_cyclic(n)}
         assert produced == expected
@@ -141,11 +150,6 @@ def test_burnside_counts_beyond_the_brute_force_range():
     # the completeness totals for verify sweeps past n = 8
     counts = {n: burnside_cyclic_classes(n) for n in (8, 9, 10, 11, 12)}
     assert counts == {8: 8845, 9: 34100, 10: 132556, 11: 514800, 12: 2006030}
-
-
-def canonical_form_of(c):
-    n = len(c)
-    return max(tuple(c[j:] + c[:j]) for j in range(n))
 
 
 def test_enumerate_cyclic_flags_selfinjective():
