@@ -51,11 +51,11 @@ from .core import (
     relations_to_kupisch,
     validate,
 )
-from .enumeration import enumerate_cyclic, enumerate_linear
+from .enumeration import _cyclic_with_first, _linear_series
 from .errors import NakayamaError
 from .filtration import epsilon_tower
-from .homology import homology_report
-from .verify import SUITES, _shards, run_suites
+from .homology import _quasi_hereditary, homology_report
+from .verify import SUITES, _Profile, _shards, run_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,25 +167,24 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    _shards(args.n, args.cap)  # the sweeps' n and cap checks, before anything is enumerated
-    stream = enumerate_cyclic(args.n, args.cap) if args.cyclic else enumerate_linear(args.n)
-    wanted = {"qh": "quasi_hereditary", "maximal": "is_maximal"}.get(args.filter)  # None: all
-    kept = [s for s in stream if wanted is None or getattr(homology_report(s), wanted)]
+    """Stream the sweep's own tuples, filtered as the sweep reads them; kept only for ``--list``."""
+    kind, n = _kind(args), args.n
+    wanted = {"all": None, "qh": _quasi_hereditary, "maximal": lambda p: p.maximal}[args.filter]
+    kept = (c for shard, first in _shards(n, args.cap) if shard == kind  # n and cap checked here
+            for c in (_cyclic_with_first(n, first) if kind == CYCLIC else _linear_series(n))
+            if wanted is None or wanted(_Profile(kind, c)))
+    kept = list(kept) if args.list else kept
+    count = len(kept) if args.list else sum(1 for _ in kept)
     if args.format == "json":
-        payload = {
-            "count": len(kept),
-            "filter": args.filter,
-            "kind": _kind(args),
-            "n": args.n,
-        }
+        payload = {"count": count, "filter": args.filter, "kind": kind, "n": n}
         if args.list:
-            payload["series"] = [list(s.c) for s in kept]
+            payload["series"] = [list(c) for c in kept]
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(len(kept))
+    print(count)
     if args.list:
-        for series in kept:
-            print(format_kupisch(series))
+        for c in kept:
+            print(",".join(map(str, c)))
     return 0
 
 

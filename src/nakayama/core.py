@@ -237,8 +237,8 @@ def _relation_pairs(c: tuple) -> list:
     """The relation starts are the v with 2 <= c_v <= c_{v+1}, c read mod n; each gives
     (v, v + c_v - 1).  Only a line's sink has c_v = 1; its formal relation is not stored.
 
-    The one home of that rule, read straight from c: ``kupisch_to_relations``
-    validates the pairs as a ``RelationSystem``; the verify sweep reads them bare.
+    Read straight from c: ``kupisch_to_relations`` validates the pairs, the verify sweep reads
+    them bare, and ``_is_chain_c`` finds the same starts in its own one-pass chain test.
     """
     n = len(c)
     return [(v + 1, v + a) for v, a in enumerate(c) if 1 < a <= c[(v + 1) % n]]

@@ -37,8 +37,8 @@ from __future__ import annotations
 from math import comb
 from operator import index
 
-from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, canonical_form, check_kind,
-                   relations_to_kupisch)
+from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, _kupisch_c, canonical_form,
+                   check_kind, relations_to_kupisch)
 from .errors import NakayamaError
 
 
@@ -147,31 +147,39 @@ class ChainSystem(RelationSystem):
 
 
 def is_chain(system: RelationSystem) -> bool:
-    """Does some labelling of the algebra present its relations as a chain?
+    """Does some labelling of the algebra present its relations as a chain?  It reads c, by
+    ``_kupisch_c``: ``_is_chain_c`` returns at the first overlap two apart or gap too many.
+    Any object with ``kind``, ``n`` and sorted, irredundant ``relations`` will do."""
+    return _is_chain_c(system.kind, _kupisch_c(system.kind, system.n, system.relations))
 
-    In a chain, consecutive relations share an arrow (next start <= end)
-    and relations two apart are disjoint (end < start of the second-next).
-    The ``RelationSystem`` invariants make the ends increase along the
-    starts, also from the last cyclic relation to the first shifted by n.
-    A linear system is tested as stored.  A cyclic one is read once around
-    the cycle, (last, first + n) included: exactly one consecutive pair
-    may share no arrow, and the chain starts after it; pairs two apart
-    across that gap are disjoint anyway.  One pass returns at the first
-    overlap two apart and at the first gap too many.  Any object with
-    ``kind``, ``n`` and sorted, irredundant ``relations`` will do.
+
+def _is_chain_c(kind: str, c) -> bool:
+    """The chain test, one pass over c that finds the relations (v + 1, v + c_v) as it goes.
+
+    In a chain, consecutive relations share an arrow (next start <= end) and relations two
+    apart are disjoint (end < start of the second-next).  A line is read as stored.  A cycle is
+    read once around, (last, first + n) included: exactly one consecutive pair may share no
+    arrow, and the chain starts after it; pairs two apart across that gap are disjoint anyway.
+    The pass keeps the last two ends, and the starts for the wrap; it returns at the first
+    overlap two apart and at the first gap too many.
     """
-    kind, n, rel = system.kind, system.n, system.relations
-    cyclic = kind == CYCLIC  # the gaps allowed: one on a cycle, none on a line
-    ring = [*rel, *((s + n, e + n) for s, e in rel[:2])] if cyclic else rel
-    gaps, last = 0, len(ring) - 2  # a pair two apart exists for i < last
-    for i in range(len(rel) if cyclic else len(rel) - 1):
-        e = ring[i][1]
-        if e < ring[i + 1][0]:
-            if gaps == cyclic:
+    n, cyclic = len(c), kind == CYCLIC  # the gaps allowed: one on a cycle, none on a line
+    gaps, starts, before, last = 0, [], 0, 0  # before, last: the last two ends, 0 below any start
+    for v, length in enumerate(c):
+        if 1 < length <= c[(v + 1) % n]:  # the relation (v + 1, v + length)
+            if before > v:  # the relation two back ends at or past this start
                 return False
-            gaps += 1
-        if i < last and e >= ring[i + 2][0]:
+            if starts and last <= v:  # the previous one ends before it: a gap
+                if gaps == cyclic:
+                    return False
+                gaps += 1
+            starts.append(v + 1)
+            before, last = last, v + length
+    if cyclic:  # the wrap; a cycle has a relation, and with only one no pair is two apart
+        first = starts[0] + n
+        if before >= first or len(starts) > 1 and last >= starts[1] + n:
             return False
+        gaps += last < first
     return gaps == cyclic
 
 

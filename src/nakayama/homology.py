@@ -125,6 +125,10 @@ def _gldim(series, pds):
     return gldim
 
 
+def _lambda_one(pds) -> int:  # Brown's lambda_1, the number of simples with pd != 1
+    return len(pds) - pds.count(1)
+
+
 def _brown_bound(kind: str, lambda_one: int) -> int:
     """Brown's bound on the gldim of a quasi-hereditary algebra: lambda_1, +1 when cyclic."""
     return lambda_one + (kind == CYCLIC)
@@ -233,7 +237,7 @@ class HomologyReport:
     @property
     def lambda_one(self) -> int:
         """Number of simples with pd != 1 (Brown's lambda): ``lam.get(1, n)``, counted directly."""
-        return len(self.pd_simple) - self.pd_simple.count(1)
+        return _lambda_one(self.pd_simple)
 
     @property
     def brown_bound(self) -> int:

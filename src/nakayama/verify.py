@@ -11,7 +11,9 @@ brute-force route) is plain data, and ``_census_rows`` turns the tallies of one 
 its rows, for both.  The sweep reads each algebra as (kind, c) from the enumeration to the last
 predicate; it builds no ``KupischSeries`` and writes "[c1,c2,...]" only for a violation.  The
 simples' pds come from the module table when ``madsen`` builds one, else from ``pd_simples``; a
-sweep that builds no report first (the census) builds one only where they reach Brown's bound.
+sweep that builds no report first (the census) builds one only where gldim reaches Brown's bound,
+its lambda_1 counted from the same pds.  The chain flag is read from c; the relation pairs, and
+r, are built only where r is read: by ``epsilon`` and the census tally of the maximal algebras.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from functools import cache, partial
 from .core import (CYCLIC, LINEAR, KupischSeries, RelationSystem, _canonical_c, _kupisch_c,
                    _relation_pairs)
 from .enumeration import (_SWEEP_LIMIT, _chain_pairs, _cyclic_cap, _cyclic_with_first,
-                          _linear_series, count_closed_form, fibonacci, is_chain)
+                          _is_chain_c, _linear_series, count_closed_form, fibonacci)
 from .errors import NakayamaError
 from .filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
-from .homology import (INFINITE, _brown_bound, _gldim, _lazy, _module_table, _quasi_hereditary,
-                        check_inequalities, check_madsen, check_parity_interpolation,
-                        homology_report, pd_simples)
+from .homology import (INFINITE, _brown_bound, _gldim, _lambda_one, _lazy, _module_table,
+                        _quasi_hereditary, check_inequalities, check_madsen,
+                        check_parity_interpolation, homology_report, pd_simples)
 
 
 def _shards(n: int, cap=None) -> list:
@@ -64,9 +66,8 @@ class _Profile:
         tuple(row[0] for row in self.table) if self.tabled else pd_simples(self)))
     report = _lazy(lambda self: homology_report(self, self.pds))
     maximal = _lazy(lambda self: self.report.is_maximal if "report" in self.__dict__ else (
-        # gldim reaches Brown's bound, read with lambda_1 = r: pd S_v = 1 iff v starts no relation
-        _quasi_hereditary(self) and _gldim(self, self.pds) >= _brown_bound(self.kind, self.r)
-        and self.report.is_maximal))
+        _quasi_hereditary(self) and _gldim(self, self.pds)  # the report's criterion and bound
+        >= _brown_bound(self.kind, _lambda_one(self.pds)) and self.report.is_maximal))
     relations = _lazy(lambda self: _relation_pairs(self.c))
     r = _lazy(RelationSystem.r.fget)
     step = _lazy(lambda self: _reduce(self))  # the first reduction's (kind, c) components
@@ -76,7 +77,7 @@ class _Profile:
 
     @_lazy
     def chain_violations(self) -> list:  # the chain suite's, and the census tally's
-        maximal, chain = self.maximal, is_chain(self)
+        maximal, chain = self.maximal, _is_chain_c(self.kind, self.c)
         return [] if maximal == chain else [f"{self}: maximal={maximal} but chain={chain}"]
 
     def of(self, component) -> "_Profile":

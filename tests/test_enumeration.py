@@ -28,11 +28,11 @@ from nakayama import (
     relations_to_kupisch,
 )
 from nakayama.core import _canonical_c, _kupisch_c
-from nakayama.enumeration import _chain_pairs, _cyclic_with_first, _linear_series
+from nakayama.enumeration import _chain_pairs, _cyclic_with_first, _is_chain_c, _linear_series
 from nakayama.verify import _census_rows, _shards
 from nakayama.errors import NakayamaError
 
-from conftest import input_error
+from conftest import cyclic_series, enumerated_series, input_error, linear_series
 from oracles import (brute_force_cyclic, brute_force_cyclic_shard, brute_force_linear,
                      burnside_cyclic_classes, oracle_canonical_c, oracle_is_chain)
 
@@ -191,6 +191,35 @@ def test_is_chain_matches_rotation_oracle_on_enumerations():
     systems += [kupisch_to_relations(s) for n in range(2, 11) for s in enumerate_linear(n)]
     assert [is_chain(r) for r in systems] == [oracle_is_chain(r) for r in systems]
     assert 0 < sum(map(is_chain, systems)) < len(systems)
+
+
+def test_the_c_chain_test_matches_rotation_oracle_on_enumerations():
+    # every enumerated series with n <= 6, cyclic ones up to entries 3n + 1
+    swept = [s for s in enumerated_series() if s.n <= 6]
+    verdicts = [_is_chain_c(s.kind, s.c) for s in swept]
+    assert verdicts == [oracle_is_chain(kupisch_to_relations(s)) for s in swept]
+    assert 0 < sum(verdicts) < len(swept) and max(s.c[0] for s in swept) == 19
+
+
+@pytest.mark.parametrize("c, relations", [
+    ((4, 4, 3, 2, 4, 3, 3), ((1, 4), (4, 5), (6, 8), (7, 9))),  # (6, 8) meets 1 + 7
+    ((4, 4, 4, 3, 2, 4, 3), ((1, 4), (2, 5), (5, 6), (7, 9))),  # (7, 9) meets 2 + 7
+])
+def test_the_c_chain_test_reads_both_pairs_two_apart_across_the_wrap(c, relations):
+    # the smallest cycles whose one overlap two apart is an end equal to a start + n across
+    # the wrap, one for each of the two pairs there; none has n <= 6
+    system = kupisch_to_relations(KupischSeries(CYCLIC, c))
+    assert system.relations == relations
+    assert not _is_chain_c(CYCLIC, c) and not oracle_is_chain(system)
+
+
+@given(st.one_of(
+    st.integers(1, 12).flatmap(lambda n: cyclic_series(min_n=n, max_n=n, max_entry=3 * n + 1)),
+    linear_series(max_n=12)))
+@settings(max_examples=500)
+def test_the_c_chain_test_matches_the_relation_systems(series):
+    system = kupisch_to_relations(series)
+    assert _is_chain_c(series.kind, series.c) == is_chain(system) == oracle_is_chain(system)
 
 
 @st.composite

@@ -506,8 +506,8 @@ def test_report_on_a_long_line():
 
 
 def test_lambda_one_equals_relation_count():
-    # pd S_v = 1 iff v starts no relation, and a line's sink (pd 0) is its extra relation; the
-    # census reads Brown's bound as r by this identity, so it must hold on selfinjective ones too
+    # pd S_v = 1 iff v starts no relation, and a line's sink (pd 0) is its extra relation; so
+    # lambda_1, counted from the pds, is the relation count, on selfinjective ones too
     swept = [s for s in enumerated_series() if s.n <= 8]
     assert len(swept) == 14308 and any(s.is_selfinjective for s in swept)
     for series in swept + list(all_algebras(5, cap=9)):

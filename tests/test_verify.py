@@ -26,10 +26,10 @@ from nakayama import (
     homology_report,
     is_chain,
     kupisch_to_relations,
-    relations_to_kupisch,
     validate,
 )
-from nakayama.enumeration import _cyclic_with_first, _linear_series
+from nakayama.core import _relation_pairs
+from nakayama.enumeration import _cyclic_with_first, _is_chain_c, _linear_series
 from nakayama.errors import InternalError, NakayamaError
 from nakayama.filtration import TERMINAL_LINEAR, TERMINAL_SELFINJECTIVE, _reduce
 from nakayama.homology import _module_table, _quasi_hereditary, pd_simples
@@ -404,13 +404,25 @@ def test_census_checks_every_n_before_it_sweeps_any(monkeypatch):
 
 def test_maximal_but_not_chain_is_reported_once_by_each_route(monkeypatch):
     flipped = (3, 2, 2)  # maximal at n = 3
-    monkeypatch.setattr(nakayama.verify, "is_chain", lambda system: is_chain(system) != (
-        relations_to_kupisch(system).c == flipped))
+    monkeypatch.setattr(nakayama.verify, "_is_chain_c", lambda kind, c: _is_chain_c(kind, c) != (
+        c == flipped))
     text = "[3,2,2]: maximal=True but chain=False"
     results = run_suites(["chain", "fibonacci"], 3)
     assert results["chain"][1].count(text) == 1
     assert results["fibonacci"][1].count(text) == 1
     assert census([3], CYCLIC).violations.count(text) == 1
+
+
+def test_the_census_builds_relation_pairs_only_for_its_maximal_classes(monkeypatch):
+    # the chain flag reads c and the gate reads lambda_1 from the pds, so only the tally of the
+    # maximal classes, which records their r, lists relations: F_12 = 144 of 2,272 classes
+    calls = []
+    monkeypatch.setattr(nakayama.verify, "_relation_pairs",
+                        lambda c: calls.append(c) or _relation_pairs(c))
+    table = census([7], CYCLIC)
+    assert table.violations == [] and table.counts() == {7: 144}
+    assert len(calls) == len(set(calls)) == 144
+    assert len(list(enumerate_cyclic(7))) == 2272
 
 
 _PROFILE_FIELDS = ("is_selfinjective", "table", "pds", "report", "maximal", "relations", "r",
