@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import time
@@ -253,6 +254,16 @@ def test_one_homology_report_per_algebra(monkeypatch):
         monkeypatch.setattr(module, "homology_report", counted)
     run_suites(SUITES, 5)
     assert 0 < len(calls) <= swept + components
+
+
+def test_census_digests():
+    # CensusTable.to_json has no CLI route, so these bytes are pinned here and not in
+    # pinned_outputs.txt: sha256 prefixes recorded before the verify suites, the census and the
+    # syzygy, Brown-bound and interval arithmetic were consolidated
+    tables = [census(range(2, 7), CYCLIC), census(range(2, 8), LINEAR)]
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest("".join(t.to_csv() for t in tables)) == "672ef6806c0cc567"
+    assert digest("".join(t.to_json() for t in tables)) == "7655897e70b3c097"
 
 
 @pytest.mark.parametrize("kind", [CYCLIC, LINEAR])
